@@ -7,22 +7,18 @@
 //! figures, and writes `results/figNN.json` files plus human-readable
 //! tables.
 //!
-//! The harness runs each code layout **once**, with a composite trace sink
-//! that does two things in the same pass:
-//!
-//! * feeds the *streaming* collectors that want the live event stream —
-//!   the sequence profiler (Fig. 8), the locality cache (Figs. 9–11),
-//!   footprint counters (packing claims), and three full memory
-//!   hierarchies (Fig. 14 and the Fig. 15 timing models);
-//! * records the instruction fetch stream into a compact
-//!   [`codelayout_vm::TraceBuffer`] (8 bytes per instruction).
+//! The harness executes each code layout **once**, with one sink: a
+//! [`codelayout_vm::TraceBuffer`] recording every instruction fetch and
+//! data reference (8 bytes per event). Every measurement then *replays*
+//! the frozen trace, as the paper's trace-driven methodology does; the
+//! list of replay jobs is the only place `base`/`all` differ from the
+//! other layouts.
 //!
 //! The cache-grid sweeps — the direct-mapped line-size grid (Fig. 4/5)
 //! and the 128-byte 4-way size sweeps for user/kernel/combined streams
-//! (Figs. 6, 7, 12, 13) — then *replay* the frozen trace through a
-//! [`ParallelSweep`]. Every grid is named by a
-//! [`codelayout_memsim::SweepSpec`]; the replay engine is the
-//! single-pass stack-distance profiler by default (one Mattson stack
+//! (Figs. 6, 7, 12, 13) — replay through a [`ParallelSweep`]. Every grid
+//! is named by a [`codelayout_memsim::SweepSpec`]; the replay engine is
+//! the single-pass stack-distance profiler by default (one Mattson stack
 //! per line size answers every size × associativity at once), with the
 //! direct per-configuration simulator kept as the equivalence oracle —
 //! both selected by `CODELAYOUT_SWEEP_ENGINE` and bit-identical by
@@ -30,7 +26,11 @@
 //! first fully-instrumented layout also replays the identical jobs on
 //! the *other* engine at the same thread count, asserting equality and
 //! timing both, so `run_all` can report the measured engine speedup
-//! (see [`Harness::sweep_timing`]).
+//! (see [`Harness::sweep_timing`]). The other analyses — three memory
+//! hierarchies (Fig. 14, Fig. 15 timing), the sequence profiler
+//! (Fig. 8), the locality cache (Figs. 9–11) and the footprint counter
+//! (packing claims) — replay on the same worker pool
+//! ([`ParallelSweep::replay_sinks`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +41,13 @@ pub mod lint;
 use codelayout_core::{LayoutParams, LayoutSeries};
 use codelayout_ir::Image;
 use codelayout_memsim::{
-    CacheConfig, FootprintCounter, HierarchyStats, LocalityCache, LocalityStats, MemoryHierarchy,
-    ParallelSweep, SequenceProfiler, SequenceStats, StreamFilter, SweepCell, SweepEngine,
-    SweepSpec,
+    CacheConfig, FootprintCounter, HierarchyConfig, HierarchyStats, LocalityCache, LocalityStats,
+    MemoryHierarchy, ParallelSweep, SequenceProfiler, SequenceStats, StreamFilter, SweepCell,
+    SweepEngine, SweepSpec,
 };
 use codelayout_oltp::{build_study, RunOutcome, Scenario, Study};
 use codelayout_timing::TimingModel;
-use codelayout_vm::{DataRecord, FetchRecord, TraceBuffer, TraceSink, VmEngine};
+use codelayout_vm::{TraceBuffer, TraceSink, VmEngine};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -111,94 +111,6 @@ fn sizes_4w_spec(num_cpus: usize, filter: StreamFilter) -> SweepSpec {
         .filter(filter)
 }
 
-/// Composite sink for the live pass: streaming collectors that need the
-/// raw event stream, plus a compact fetch-trace recording. The cache
-/// grids are *not* simulated here — they replay the recorded trace in
-/// parallel afterwards (see [`Harness`]).
-struct CompositeSink {
-    full: bool,
-    trace: TraceBuffer,
-    seq_user: SequenceProfiler,
-    locality: LocalityCache,
-    fp: FootprintCounter,
-    hier_simos: MemoryHierarchy,
-    hier_21264: MemoryHierarchy,
-    hier_21164: MemoryHierarchy,
-    user_fetches: u64,
-    kernel_fetches: u64,
-}
-
-impl CompositeSink {
-    fn new(num_cpus: usize, full: bool) -> Self {
-        CompositeSink {
-            full,
-            trace: TraceBuffer::fetch_only(),
-            seq_user: SequenceProfiler::new(StreamFilter::UserOnly),
-            locality: LocalityCache::new(locality_config(), StreamFilter::UserOnly),
-            fp: FootprintCounter::new(128, StreamFilter::UserOnly),
-            hier_simos: MemoryHierarchy::new(codelayout_memsim::HierarchyConfig::simos_base(
-                num_cpus,
-            )),
-            hier_21264: MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus)),
-            hier_21164: MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus)),
-            user_fetches: 0,
-            kernel_fetches: 0,
-        }
-    }
-}
-
-impl TraceSink for CompositeSink {
-    #[inline]
-    fn fetch(&mut self, rec: FetchRecord) {
-        if rec.kernel {
-            self.kernel_fetches += 1;
-        } else {
-            self.user_fetches += 1;
-        }
-        self.trace.fetch(rec);
-        self.hier_21264.fetch(rec);
-        self.hier_21164.fetch(rec);
-        if self.full {
-            self.seq_user.fetch(rec);
-            self.locality.fetch(rec);
-            self.fp.fetch(rec);
-            self.hier_simos.fetch(rec);
-        }
-    }
-
-    #[inline]
-    fn data(&mut self, rec: DataRecord) {
-        self.hier_21264.data(rec);
-        self.hier_21164.data(rec);
-        if self.full {
-            self.hier_simos.data(rec);
-        }
-    }
-
-    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
-        // Batch the counters and the trace append; the cache hierarchies
-        // are inherently per-access and see the expanded stream.
-        if first.kernel {
-            self.kernel_fetches += n;
-        } else {
-            self.user_fetches += n;
-        }
-        self.trace.fetch_run(first, n);
-        let mut rec = first;
-        for _ in 0..n {
-            self.hier_21264.fetch(rec);
-            self.hier_21164.fetch(rec);
-            if self.full {
-                self.seq_user.fetch(rec);
-                self.locality.fetch(rec);
-                self.fp.fetch(rec);
-                self.hier_simos.fetch(rec);
-            }
-            rec.addr += codelayout_ir::INSTR_BYTES;
-        }
-    }
-}
-
 /// Wall-clock measurement of one layout's grid sweeps: the
 /// stack-distance engine vs the direct per-configuration engine
 /// replaying the identical jobs at the same thread count (and asserted
@@ -230,8 +142,9 @@ impl SweepTiming {
 
 /// Wall-clock measurement of one layout's measured run on both VM
 /// execution tiers: the block-compiled engine vs the interpreter
-/// oracle executing the identical workload (asserted to produce a
-/// bit-identical instruction trace and outcome).
+/// oracle executing the identical workload, each recording into the same
+/// kind of fetch + data [`TraceBuffer`] (asserted bit-identical, as is
+/// the outcome), so both times include the same recording cost.
 #[derive(Debug, Clone, Copy)]
 pub struct VmTiming {
     /// Instructions the measured phase executed (identical on both tiers).
@@ -281,7 +194,7 @@ pub struct Harness {
     /// [`Harness::set_tuned`] and addressed by the `tuned:<series>` run
     /// names.
     tuned: HashMap<String, LayoutParams>,
-    /// Largest fetch-event count seen so far; pre-sizes the next
+    /// Largest recorded event count so far; pre-sizes the next
     /// layout's trace buffer so growth reallocs don't land inside the
     /// timed measured run.
     expected_events: usize,
@@ -403,57 +316,79 @@ impl Harness {
     }
 
     /// Runs (or returns the cached) measurement for a layout. `base` and
-    /// `all` get the full instrumentation; other layouts the light set.
+    /// `all` get the full set of replay jobs; other layouts the light set.
     pub fn run(&mut self, name: &str) -> &LayoutData {
         if !self.runs.contains_key(name) {
-            let full = matches!(name, "base" | "all");
-            let data = self.measure(name, full);
+            let data = self.measure(name);
             self.runs.insert(name.to_string(), data);
         }
         &self.runs[name]
     }
 
-    fn measure(&mut self, name: &str, full: bool) -> LayoutData {
+    /// Executes the layout once, recording fetch and data events into a
+    /// [`TraceBuffer`], then derives every [`LayoutData`] field by
+    /// replaying the frozen trace: grid sweeps on the sweeper, the other
+    /// analyses on the same worker pool.
+    fn measure(&mut self, name: &str) -> LayoutData {
         let _measure_span = codelayout_obs::span("measure");
         let image = self.image_for(name);
         let num_cpus = self.study.scenario.num_cpus;
-        let mut sink = CompositeSink::new(num_cpus, full);
-        sink.trace.reserve(self.expected_events);
+        let mut buf = TraceBuffer::new();
+        buf.reserve(self.expected_events);
         let outcome = self
             .study
-            .run_measured(&image, &self.study.base_kernel_image, &mut sink);
+            .run_measured(&image, &self.study.base_kernel_image, &mut buf);
         outcome.assert_correct();
-
-        // Record-once / replay-in-parallel: the live pass above recorded
-        // the fetch stream; every grid sweep now replays it from worker
-        // threads. Jobs: [user sizes, dm grid, combined sizes, kernel
-        // sizes] — the last three only for fully-instrumented layouts.
-        let trace = std::mem::take(&mut sink.trace).freeze();
-        self.expected_events = self.expected_events.max(trace.len());
+        let trace = buf.freeze();
+        // Every executed instruction emits exactly one fetch.
+        let (user_fetches, kernel_fetches) =
+            (outcome.report.user_instrs, outcome.report.kernel_instrs);
         codelayout_obs::metrics().gauge_set(
             &format!("vm.run.{name}.insts_per_sec"),
             outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
         );
+
+        let full = matches!(name, "base" | "all");
         if full && self.vm_timing.is_none() {
             self.vm_oracle_run(name, &image, &trace, &outcome);
         }
+        self.expected_events = self.expected_events.max(trace.len());
+
+        // The replay jobs. Every layout gets the user size sweep and both
+        // Alpha hierarchies; `base` and `all` add the direct-mapped grid,
+        // the combined/kernel size sweeps, the SimOS hierarchy, and the
+        // sequence, locality and footprint collectors.
         let mut jobs = vec![sizes_4w_spec(num_cpus, StreamFilter::UserOnly)];
+        let mut hier_21264 = MemoryHierarchy::new(TimingModel::hierarchy_21264(num_cpus));
+        let mut hier_21164 = MemoryHierarchy::new(TimingModel::hierarchy_21164(num_cpus));
+        let mut hier_simos = MemoryHierarchy::new(HierarchyConfig::simos_base(num_cpus));
+        let mut seq_user = SequenceProfiler::new(StreamFilter::UserOnly);
+        let mut locality = LocalityCache::new(locality_config(), StreamFilter::UserOnly);
+        let mut fp = FootprintCounter::new(128, StreamFilter::UserOnly);
+        let mut analyses: Vec<&mut (dyn TraceSink + Send)> = vec![&mut hier_21264, &mut hier_21164];
         if full {
-            jobs.push(
+            jobs.extend([
                 SweepSpec::paper_grid(1)
                     .cpus(num_cpus)
                     .filter(StreamFilter::UserOnly),
-            );
-            jobs.push(sizes_4w_spec(num_cpus, StreamFilter::All));
-            jobs.push(sizes_4w_spec(num_cpus, StreamFilter::KernelOnly));
+                sizes_4w_spec(num_cpus, StreamFilter::All),
+                sizes_4w_spec(num_cpus, StreamFilter::KernelOnly),
+            ]);
+            analyses.extend([
+                &mut hier_simos as &mut (dyn TraceSink + Send),
+                &mut seq_user,
+                &mut locality,
+                &mut fp,
+            ]);
         }
+
         // Phase timers (not ad-hoc `Instant` pairs) time both replays, so
         // the speedup `run_all` reports is exactly what the phase tree and
         // the run manifest show for the same work.
         let replay_span = codelayout_obs::span("replay");
-        let mut grids = self.sweeper.run(&trace, &jobs);
+        let grids = self.sweeper.run(&trace, &jobs);
         let primary_secs = replay_span.finish().as_secs_f64();
-        self.record_replay_metrics(name, &sink, &jobs, &trace, primary_secs);
+        self.record_replay_metrics(name, user_fetches, kernel_fetches, &jobs, primary_secs);
         if full && self.sweep_timing.is_none() {
             // Once per evaluation: replay the identical jobs on the
             // *other* engine at the same thread count — a standing
@@ -477,7 +412,7 @@ impl Harness {
             };
             let timing = SweepTiming {
                 threads: self.sweeper.threads(),
-                events: trace.len() as u64,
+                events: user_fetches + kernel_fetches,
                 shards: jobs.iter().map(SweepSpec::shard_count).sum(),
                 stack_secs,
                 direct_secs,
@@ -485,47 +420,36 @@ impl Harness {
             codelayout_obs::metrics().gauge_set("sweep.engine_speedup", timing.speedup());
             self.sweep_timing = Some(timing);
         }
-        let sizes_4w_kernel = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
-        };
-        let sizes_4w_all = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
-        };
-        let dm_grid_user = if full {
-            grids.pop().unwrap()
-        } else {
-            Vec::new()
-        };
-        let sizes_4w_user = grids.pop().unwrap();
+        let analysis_span = codelayout_obs::span("analysis");
+        self.sweeper.replay_sinks(&trace, analyses);
+        analysis_span.finish();
 
+        let mut grids = grids.into_iter();
         LayoutData {
             label: name.to_string(),
             text_bytes: image.text_bytes(),
-            dm_grid_user,
-            sizes_4w_user,
-            sizes_4w_all,
-            sizes_4w_kernel,
-            seq_user: full.then(|| sink.seq_user.finish()),
-            locality: full.then(|| sink.locality.finish()),
-            footprint_line_bytes: full.then(|| sink.fp.line_footprint_bytes()),
-            footprint_instr_bytes: full.then(|| sink.fp.instr_footprint_bytes()),
-            hier_simos: full.then(|| *sink.hier_simos.stats()),
-            hier_21264: *sink.hier_21264.stats(),
-            hier_21164: *sink.hier_21164.stats(),
-            user_fetches: sink.user_fetches,
-            kernel_fetches: sink.kernel_fetches,
+            sizes_4w_user: grids.next().expect("the user size sweep always runs"),
+            dm_grid_user: grids.next().unwrap_or_default(),
+            sizes_4w_all: grids.next().unwrap_or_default(),
+            sizes_4w_kernel: grids.next().unwrap_or_default(),
+            seq_user: full.then(|| seq_user.finish()),
+            locality: full.then(|| locality.finish()),
+            footprint_line_bytes: full.then(|| fp.line_footprint_bytes()),
+            footprint_instr_bytes: full.then(|| fp.instr_footprint_bytes()),
+            hier_simos: full.then(|| *hier_simos.stats()),
+            hier_21264: *hier_21264.stats(),
+            hier_21164: *hier_21164.stats(),
+            user_fetches,
+            kernel_fetches,
             outcome,
         }
     }
 
     /// Once per evaluation: re-execute the measured run on the *other*
-    /// VM execution tier (interpreter oracle vs block-compiled) and
-    /// assert the instruction trace and outcome are bit-identical — the
-    /// standing correctness check behind the engine-speedup number.
+    /// VM execution tier (interpreter oracle vs block-compiled), recording
+    /// the same fetch + data trace, and assert the trace (data references
+    /// included) and outcome are bit-identical — the standing correctness
+    /// check behind the engine-speedup number.
     fn vm_oracle_run(
         &mut self,
         name: &str,
@@ -539,8 +463,10 @@ impl Harness {
             VmEngine::Block => VmEngine::Interp,
         };
         let oracle_span = codelayout_obs::span("oracle_run");
-        let mut oracle_trace = TraceBuffer::fetch_only();
-        oracle_trace.reserve(trace.len());
+        // The same starting capacity as the primary run's buffer, so both
+        // tiers pay the same recording cost.
+        let mut oracle_trace = TraceBuffer::new();
+        oracle_trace.reserve(self.expected_events);
         let oracle = self.study.run_measured_with(
             image,
             &self.study.base_kernel_image,
@@ -593,16 +519,17 @@ impl Harness {
         self.vm_timing = Some(timing);
     }
 
-    /// Per-job replay throughput gauges for one measured layout. Job
-    /// labels follow the fixed job order [`Harness::measure`] builds:
-    /// the user size sweep always runs; fully-instrumented layouts add
-    /// the direct-mapped grid and the combined/kernel size sweeps.
+    /// Per-job replay throughput gauges for one measured layout, from
+    /// the run's fetch counts. Job labels follow the fixed job order
+    /// [`Harness::measure`] builds: the user size sweep always runs;
+    /// fully-instrumented layouts add the direct-mapped grid and the
+    /// combined/kernel size sweeps.
     fn record_replay_metrics(
         &self,
         name: &str,
-        sink: &CompositeSink,
+        user_fetches: u64,
+        kernel_fetches: u64,
         jobs: &[SweepSpec],
-        trace: &codelayout_vm::FrozenTrace,
         parallel_secs: f64,
     ) {
         const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
@@ -610,14 +537,14 @@ impl Harness {
         let secs = parallel_secs.max(1e-9);
         m.gauge_set(
             &format!("replay.{name}.insts_per_sec"),
-            trace.len() as f64 / secs,
+            (user_fetches + kernel_fetches) as f64 / secs,
         );
         for (j, job) in jobs.iter().enumerate() {
             let label = JOB_LABELS.get(j).copied().unwrap_or("extra");
             let events = match job.stream() {
-                StreamFilter::UserOnly => sink.user_fetches,
-                StreamFilter::KernelOnly => sink.kernel_fetches,
-                StreamFilter::All => sink.user_fetches + sink.kernel_fetches,
+                StreamFilter::UserOnly => user_fetches,
+                StreamFilter::KernelOnly => kernel_fetches,
+                StreamFilter::All => user_fetches + kernel_fetches,
             };
             m.gauge_set(
                 &format!("replay.{name}.{label}.insts_per_sec"),

@@ -5,16 +5,29 @@
 
 use crate::config::StreamFilter;
 use codelayout_vm::{FetchRecord, TraceSink};
-use std::collections::HashSet;
+use std::collections::BTreeMap;
+
+/// Bytes covered by one bitmap page (4 KB).
+const PAGE_SHIFT: u32 = 12;
+/// Instruction words per page, one bit each.
+const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 2);
 
 /// Counts unique cache lines and unique instruction words touched by the
 /// (filtered) instruction stream.
+///
+/// Touched words live in one bitmap, kept per 4 KB page so any address
+/// (application or kernel text) is covered without sizing a range up
+/// front. The line count is derived from the word bits when queried.
+/// Addresses count at instruction-word granularity: fetch addresses are
+/// always word-aligned.
 #[derive(Debug, Clone)]
 pub struct FootprintCounter {
     filter: StreamFilter,
     line_shift: u32,
-    lines: HashSet<u64>,
-    words: HashSet<u64>,
+    /// Page number → one bit per instruction word; ordered, so the line
+    /// count walks the touched words in address order.
+    pages: BTreeMap<u64, [u64; PAGE_WORDS / 64]>,
+    words: usize,
 }
 
 impl FootprintCounter {
@@ -27,29 +40,38 @@ impl FootprintCounter {
         FootprintCounter {
             filter,
             line_shift: line_bytes.trailing_zeros(),
-            lines: HashSet::new(),
-            words: HashSet::new(),
+            pages: BTreeMap::new(),
+            words: 0,
         }
     }
 
     /// Unique cache lines touched.
     pub fn unique_lines(&self) -> usize {
-        self.lines.len()
+        let mut prev = None;
+        self.pages
+            .iter()
+            .flat_map(|(page, bits)| {
+                (0..PAGE_WORDS as u64)
+                    .filter(move |&w| bits[w as usize / 64] >> (w % 64) & 1 != 0)
+                    .map(move |w| ((page << PAGE_SHIFT) | (w << 2)) >> self.line_shift)
+            })
+            .filter(|&line| prev.replace(line) != Some(line))
+            .count()
     }
 
     /// Footprint in bytes at line granularity.
     pub fn line_footprint_bytes(&self) -> u64 {
-        (self.lines.len() as u64) << self.line_shift
+        (self.unique_lines() as u64) << self.line_shift
     }
 
     /// Unique instructions executed (static live code).
     pub fn unique_instructions(&self) -> usize {
-        self.words.len()
+        self.words
     }
 
     /// Footprint in bytes at instruction granularity.
     pub fn instr_footprint_bytes(&self) -> u64 {
-        self.words.len() as u64 * 4
+        self.words as u64 * 4
     }
 }
 
@@ -57,8 +79,14 @@ impl TraceSink for FootprintCounter {
     #[inline]
     fn fetch(&mut self, rec: FetchRecord) {
         if self.filter.accepts(rec.kernel) {
-            self.lines.insert(rec.addr >> self.line_shift);
-            self.words.insert(rec.addr >> 2);
+            let bits = self
+                .pages
+                .entry(rec.addr >> PAGE_SHIFT)
+                .or_insert([0; PAGE_WORDS / 64]);
+            let word = (rec.addr >> 2) as usize % PAGE_WORDS;
+            let bit = 1u64 << (word % 64);
+            self.words += usize::from(bits[word / 64] & bit == 0);
+            bits[word / 64] |= bit;
         }
     }
 }

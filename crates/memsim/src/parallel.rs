@@ -49,7 +49,7 @@ use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
 use codelayout_obs::SweepEngine;
-use codelayout_vm::{FetchRecord, FrozenTrace, TraceSink};
+use codelayout_vm::{FetchRecord, FrozenTrace, TeeSink, TraceSink};
 
 /// One direct-engine unit: a (configuration, CPU) simulator.
 struct DirectShard {
@@ -424,6 +424,27 @@ impl ParallelSweep {
         self.run(trace, std::slice::from_ref(spec))
             .pop()
             .expect("one job in, one result out")
+    }
+
+    /// Replays `trace` into caller-owned sinks (memory hierarchies,
+    /// locality collectors, …) on at most [`ParallelSweep::threads`]
+    /// concurrent workers. Sinks are dealt round-robin over the workers
+    /// and the ones sharing a worker are bundled with [`TeeSink`], so
+    /// each worker decodes the trace once. Every sink observes the exact
+    /// record sequence of the recorded run, so its results equal those
+    /// of a sink that watched the live run, at any thread count.
+    pub fn replay_sinks(&self, trace: &FrozenTrace, sinks: Vec<&mut (dyn TraceSink + Send)>) {
+        let num_workers = self.threads.min(sinks.len());
+        let mut bundles: Vec<Option<Box<dyn TraceSink + Send + '_>>> =
+            (0..num_workers).map(|_| None).collect();
+        for (i, sink) in sinks.into_iter().enumerate() {
+            let slot = &mut bundles[i % num_workers];
+            *slot = Some(match slot.take() {
+                None => Box::new(sink),
+                Some(bundle) => Box::new(TeeSink(bundle, sink)),
+            });
+        }
+        replay_pool(trace, bundles.into_iter().flatten().collect(), |_| {});
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property tests for the cache simulators: agreement with a naive
-//! reference LRU model, the LRU inclusion property, and collector
-//! bookkeeping identities.
+//! reference LRU model, the LRU inclusion property, collector
+//! bookkeeping identities, and the footprint bitmap against hash sets.
 
 use codelayout_memsim::{
-    AccessClass, CacheConfig, ICacheSim, Itlb, LocalityCache, SequenceProfiler, StreamFilter,
+    AccessClass, CacheConfig, FootprintCounter, ICacheSim, Itlb, LocalityCache, SequenceProfiler,
+    StreamFilter,
 };
 use codelayout_vm::{FetchRecord, TraceSink};
 use proptest::prelude::*;
@@ -173,5 +174,42 @@ proptest! {
         if entries >= pages.len() {
             prop_assert_eq!(t.misses(), pages.len() as u64);
         }
+    }
+
+    #[test]
+    fn footprint_bitmap_matches_hash_set_oracle(
+        seed in 0u64..10_000,
+        line_log in 2u32..15,
+        filter_idx in 0usize..3,
+    ) {
+        // User and kernel text, sequential runs, near and far jumps, and
+        // the last word of a page; lines from one word up to 16 KB (wider
+        // than a bitmap page).
+        let filters = [StreamFilter::All, StreamFilter::UserOnly, StreamFilter::KernelOnly];
+        let filter = filters[filter_idx];
+        let bases = [codelayout_vm::APP_TEXT_BASE, codelayout_vm::KERNEL_TEXT_BASE];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut f = FootprintCounter::new(1 << line_log, filter);
+        let mut lines = std::collections::HashSet::new();
+        let mut words = std::collections::HashSet::new();
+        let mut pc = bases[0];
+        for _ in 0..5_000 {
+            pc = match rng.gen_range(0u32..16) {
+                0 => bases[rng.gen_range(0usize..2)] + rng.gen_range(0u64..1 << 20) * 4,
+                1 => pc + rng.gen_range(0u64..64) * 4 - 32 * 4,
+                2 => (pc | 0xFFF) - 3,
+                _ => pc + 4,
+            };
+            let kernel = pc >= codelayout_vm::KERNEL_TEXT_BASE;
+            f.fetch(FetchRecord { addr: pc, cpu: 0, pid: 0, kernel });
+            if filter.accepts(kernel) {
+                lines.insert(pc >> line_log);
+                words.insert(pc >> 2);
+            }
+        }
+        prop_assert_eq!(f.unique_lines(), lines.len());
+        prop_assert_eq!(f.line_footprint_bytes(), (lines.len() as u64) << line_log);
+        prop_assert_eq!(f.unique_instructions(), words.len());
+        prop_assert_eq!(f.instr_footprint_bytes(), words.len() as u64 * 4);
     }
 }

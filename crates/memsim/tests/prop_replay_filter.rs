@@ -2,9 +2,32 @@
 //! recording, and parallel replay agrees with the live serial sink on
 //! arbitrary random traces (the OLTP-driven equivalence test lives at
 //! the workspace root; this one explores the input space more broadly).
+//! Caller-owned sinks replayed on the sweep pool each see the whole
+//! recorded stream, on no more workers than the pool's thread count.
 
 use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSink, SweepSpec};
-use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink};
+use codelayout_vm::{DataRecord, FetchRecord, RecordingSink, TraceBuffer, TraceSink};
+use std::collections::HashSet;
+use std::thread::ThreadId;
+
+/// Records every event it sees and the worker threads that fed it.
+#[derive(Default)]
+struct Probe {
+    seen: RecordingSink,
+    threads: HashSet<ThreadId>,
+}
+
+impl TraceSink for Probe {
+    fn fetch(&mut self, rec: FetchRecord) {
+        self.threads.insert(std::thread::current().id());
+        self.seen.fetch(rec);
+    }
+
+    fn data(&mut self, rec: DataRecord) {
+        self.threads.insert(std::thread::current().id());
+        self.seen.data(rec);
+    }
+}
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,5 +116,46 @@ proptest! {
                 all.stats.accesses
             );
         }
+    }
+
+    #[test]
+    fn replay_sinks_feeds_every_sink_on_at_most_threads_workers(
+        seed in 0u64..10_000,
+        threads in 1usize..8,
+        sinks in 0usize..8,
+    ) {
+        let stream = random_stream(seed, 3_000, 2);
+        let mut buf = TraceBuffer::new();
+        let mut live = RecordingSink::default();
+        for (i, &r) in stream.iter().enumerate() {
+            buf.fetch(r);
+            live.fetch(r);
+            if i % 3 == 0 {
+                let d = DataRecord {
+                    addr: r.addr ^ 0x10_0000,
+                    cpu: r.cpu,
+                    pid: r.pid,
+                    kernel: r.kernel,
+                    write: i % 2 == 0,
+                };
+                buf.data(d);
+                live.data(d);
+            }
+        }
+        let trace = buf.freeze();
+        let mut probes: Vec<Probe> = (0..sinks).map(|_| Probe::default()).collect();
+        ParallelSweep::new(threads).replay_sinks(
+            &trace,
+            probes.iter_mut().map(|p| p as &mut (dyn TraceSink + Send)).collect(),
+        );
+        let mut workers = HashSet::new();
+        for p in &probes {
+            prop_assert_eq!(&p.seen.fetches, &live.fetches);
+            prop_assert_eq!(&p.seen.data, &live.data);
+            // A sink is fed by exactly one worker.
+            prop_assert_eq!(p.threads.len(), 1);
+            workers.extend(p.threads.iter().copied());
+        }
+        prop_assert_eq!(workers.len(), threads.min(sinks));
     }
 }

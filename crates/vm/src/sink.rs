@@ -143,6 +143,23 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
 }
 
+impl<S: TraceSink + ?Sized> TraceSink for Box<S> {
+    #[inline]
+    fn fetch(&mut self, rec: FetchRecord) {
+        (**self).fetch(rec);
+    }
+
+    #[inline]
+    fn data(&mut self, rec: DataRecord) {
+        (**self).data(rec);
+    }
+
+    #[inline]
+    fn fetch_run(&mut self, first: FetchRecord, n: u64) {
+        (**self).fetch_run(first, n);
+    }
+}
+
 /// Feeds two sinks from one trace; nests for arbitrary fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink<A, B>(pub A, pub B);
