@@ -456,21 +456,21 @@ impl FamilySearch {
         let layout = oracle.study.layout_series_params(self.series, &params);
         // Validation is unconditional for every candidate — a layout the
         // validator rejects can never win, whatever the cache says.
-        let (score, cells, validated) =
-            match link(&oracle.study.app.program, &layout, APP_TEXT_BASE) {
-                Ok(image) => match codelayout_analysis::validate_translation(
-                    &oracle.study.app.program,
-                    &layout,
-                    &image,
-                ) {
-                    Ok(_) => {
-                        let (score, cells) = oracle.replay(&image);
-                        (score, cells, true)
-                    }
-                    Err(_) => (u64::MAX, Vec::new(), false),
-                },
-                Err(_) => (u64::MAX, Vec::new(), false),
-            };
+        let image = link(&oracle.study.app.program, &layout, APP_TEXT_BASE).ok();
+        let validate_span = codelayout_obs::span("tune_validate");
+        let image = image.filter(|image| {
+            codelayout_analysis::validate_translation(&oracle.study.app.program, &layout, image)
+                .is_ok()
+        });
+        validate_span.finish();
+        let (score, cells, validated) = match image {
+            Some(image) => {
+                let _replay_span = codelayout_obs::span("tune_replay");
+                let (score, cells) = oracle.replay(&image);
+                (score, cells, true)
+            }
+            None => (u64::MAX, Vec::new(), false),
+        };
         self.evaluated += 1;
         if !validated {
             self.rejected += 1;
