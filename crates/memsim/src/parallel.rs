@@ -6,11 +6,12 @@
 //! layout (direct-mapped user grid, 4-way user/kernel/combined grids),
 //! and the simulators dominate wall-clock time. [`ParallelSweep`] takes
 //! the other half of the record-once/replay-many design: given a
-//! [`FrozenTrace`] and a list of [`SweepSpec`] jobs, it shards the
-//! simulation across scoped worker threads. Each worker owns its
-//! simulators outright and replays the shared trace with no locks or
-//! atomics on the hot path; per-CPU statistics are merged into
-//! per-configuration cells only at join time.
+//! [`FrozenTrace`] (or any other [`TraceSource`]) and a list of
+//! [`SweepSpec`] jobs, it shards the simulation across scoped worker
+//! threads. Each worker owns its simulators outright and replays the
+//! shared source with no locks or atomics on the hot path; per-CPU
+//! statistics are merged into per-configuration cells only at join
+//! time.
 //!
 //! Two engines implement the same contract ([`SweepEngine`], default
 //! taken from `CODELAYOUT_SWEEP_ENGINE`):
@@ -49,7 +50,7 @@ use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
 use codelayout_obs::SweepEngine;
-use codelayout_vm::{FetchRecord, FrozenTrace, TeeSink, TraceSink};
+use codelayout_vm::{FetchRecord, FrozenTrace, TeeSink, TraceSink, TraceSource};
 
 /// One direct-engine unit: a (configuration, CPU) simulator.
 struct DirectShard {
@@ -276,6 +277,17 @@ impl ParallelSweep {
     /// over CPUs — the exact shape [`crate::SweepSink::results`]
     /// returns).
     pub fn run(&self, trace: &FrozenTrace, jobs: &[SweepSpec]) -> Vec<Vec<SweepCell>> {
+        self.run_from(trace, jobs)
+    }
+
+    /// [`ParallelSweep::run`] over any [`TraceSource`]: every worker
+    /// replays the source itself, so records that are a function of
+    /// shared data are generated on the workers and never stored.
+    pub fn run_from<T: TraceSource + ?Sized>(
+        &self,
+        source: &T,
+        jobs: &[SweepSpec],
+    ) -> Vec<Vec<SweepCell>> {
         let _sweep_span = codelayout_obs::span("sweep");
         let grids: Vec<Vec<crate::CacheConfig>> = jobs.iter().map(SweepSpec::configs).collect();
         let mut results: Vec<Vec<SweepCell>> = grids
@@ -290,15 +302,15 @@ impl ParallelSweep {
             })
             .collect();
         match self.engine {
-            SweepEngine::Direct => self.run_direct(trace, jobs, &grids, &mut results),
-            SweepEngine::Stack => self.run_stack(trace, jobs, &grids, &mut results),
+            SweepEngine::Direct => self.run_direct(source, jobs, &grids, &mut results),
+            SweepEngine::Stack => self.run_stack(source, jobs, &grids, &mut results),
         }
         results
     }
 
-    fn run_direct(
+    fn run_direct<T: TraceSource + ?Sized>(
         &self,
-        trace: &FrozenTrace,
+        source: &T,
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
@@ -334,7 +346,7 @@ impl ParallelSweep {
             }
         }
 
-        for worker in replay_pool(trace, workers, |_| {}) {
+        for worker in replay_pool(source, workers, |_| {}) {
             for dj in worker.jobs {
                 let cells = &mut results[dj.job];
                 for shard in dj.shards {
@@ -344,9 +356,9 @@ impl ParallelSweep {
         }
     }
 
-    fn run_stack(
+    fn run_stack<T: TraceSource + ?Sized>(
         &self,
-        trace: &FrozenTrace,
+        source: &T,
         jobs: &[SweepSpec],
         grids: &[Vec<crate::CacheConfig>],
         results: &mut [Vec<SweepCell>],
@@ -397,7 +409,7 @@ impl ParallelSweep {
             worker.seal();
         }
 
-        for worker in replay_pool(trace, workers, StackWorker::flush_repeats) {
+        for worker in replay_pool(source, workers, StackWorker::flush_repeats) {
             for shard in worker.shards {
                 let cells = &mut results[shard.job];
                 for (config_idx, stats) in shard.prof.results() {
@@ -420,8 +432,8 @@ impl ParallelSweep {
     }
 
     /// Convenience for a single job: replays and returns its cells.
-    pub fn run_one(&self, trace: &FrozenTrace, spec: &SweepSpec) -> Vec<SweepCell> {
-        self.run(trace, std::slice::from_ref(spec))
+    pub fn run_one<T: TraceSource + ?Sized>(&self, source: &T, spec: &SweepSpec) -> Vec<SweepCell> {
+        self.run_from(source, std::slice::from_ref(spec))
             .pop()
             .expect("one job in, one result out")
     }
@@ -448,7 +460,7 @@ impl ParallelSweep {
     }
 }
 
-/// Replays `trace` into every worker on its own scoped thread, calling
+/// Replays `source` into every worker on its own scoped thread, calling
 /// `finish` on each worker after its last record, and hands the workers
 /// back for result collection.
 ///
@@ -456,8 +468,9 @@ impl ParallelSweep {
 /// spawn-to-start latency, plus replay duration) which is merged into
 /// the global registry at join time; the per-event replay path stays
 /// untouched.
-fn replay_pool<W, F>(trace: &FrozenTrace, workers: Vec<W>, finish: F) -> Vec<W>
+fn replay_pool<T, W, F>(source: &T, workers: Vec<W>, finish: F) -> Vec<W>
 where
+    T: TraceSource + ?Sized,
     W: TraceSink + Send,
     F: Fn(&mut W) + Sync,
 {
@@ -468,11 +481,10 @@ where
         let handles: Vec<_> = workers
             .into_iter()
             .map(|mut w| {
-                let trace = trace.clone();
                 s.spawn(move || {
                     let _worker_span = codelayout_obs::span("sweep_worker");
                     let start_ns = codelayout_obs::now_ns();
-                    trace.replay(&mut w);
+                    source.replay_into(&mut w);
                     finish(&mut w);
                     let mut shard = codelayout_obs::MetricsShard::new();
                     shard.observe(
@@ -483,7 +495,7 @@ where
                         "sweep.worker_us",
                         codelayout_obs::now_ns().saturating_sub(start_ns) / 1_000,
                     );
-                    shard.add("sweep.events_replayed", trace.len() as u64);
+                    shard.add("sweep.events_replayed", source.events() as u64);
                     (w, shard)
                 })
             })

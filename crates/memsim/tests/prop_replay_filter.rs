@@ -4,9 +4,11 @@
 //! the workspace root; this one explores the input space more broadly).
 //! Caller-owned sinks replayed on the sweep pool each see the whole
 //! recorded stream, on no more workers than the pool's thread count.
+//! A generated [`TraceSource`] sweeps exactly like its frozen
+//! materialization.
 
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSink, SweepSpec};
-use codelayout_vm::{DataRecord, FetchRecord, RecordingSink, TraceBuffer, TraceSink};
+use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSink, SweepSpec};
+use codelayout_vm::{DataRecord, FetchRecord, RecordingSink, TraceBuffer, TraceSink, TraceSource};
 use std::collections::HashSet;
 use std::thread::ThreadId;
 
@@ -52,6 +54,59 @@ fn random_stream(seed: u64, len: usize, cpus: u8) -> Vec<FetchRecord> {
         });
     }
     out
+}
+
+/// A [`TraceSource`] that regenerates [`random_stream`]'s records on
+/// every replay instead of storing them.
+struct Generated {
+    seed: u64,
+    len: usize,
+    cpus: u8,
+}
+
+impl TraceSource for Generated {
+    fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+        for r in random_stream(self.seed, self.len, self.cpus) {
+            sink.fetch(r);
+        }
+    }
+
+    fn events(&self) -> usize {
+        self.len
+    }
+}
+
+proptest! {
+    // Six sweeps per case: fewer cases keep the debug run short.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn generated_source_sweeps_like_its_frozen_trace(
+        seed in 0u64..10_000,
+        cpus in 2u64..5,
+    ) {
+        let source = Generated { seed, len: 3_000, cpus: cpus as u8 };
+        let mut buf = TraceBuffer::fetch_only();
+        source.replay_into(&mut buf);
+        let frozen = buf.freeze();
+        let jobs = vec![
+            SweepSpec::paper_grid(2).cpus(cpus as usize).filter(StreamFilter::UserOnly),
+            SweepSpec::paper_grid(1).cpus(cpus as usize).filter(StreamFilter::KernelOnly),
+            SweepSpec::grid().size_kb(1).line_b(64).ways(2).cpus(cpus as usize),
+        ];
+        for engine in [SweepEngine::Stack, SweepEngine::Direct] {
+            for threads in [1, 2, 7] {
+                let sweep = ParallelSweep::new(threads).with_engine(engine);
+                prop_assert_eq!(
+                    sweep.run_from(&source, &jobs),
+                    sweep.run(&frozen, &jobs),
+                    "{} engine, {} threads",
+                    engine.label(),
+                    threads
+                );
+            }
+        }
+    }
 }
 
 proptest! {

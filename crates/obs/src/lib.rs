@@ -11,8 +11,9 @@
 //!
 //! * **Span tracing** ([`span`], [`Tracer`], [`Span`]). RAII phase
 //!   timers with nested paths (a span opened while another is live on
-//!   the same thread becomes its child, `run_all/fig04/measure/replay`),
-//!   monotonic timing from one process-wide epoch, and thread-tagged
+//!   the same thread becomes its child, `run_all/fig04/measure/replay`;
+//!   a worker thread nests under its caller by adopting the caller's
+//!   [`span_path`] with [`Tracer::adopt`]), monotonic timing from one process-wide epoch, and thread-tagged
 //!   begin/end events. When `CODELAYOUT_TRACE_OUT` names a file, every
 //!   span boundary is appended to it as a JSON-lines event log.
 //!   Aggregated phase totals are queried as a tree
@@ -53,7 +54,7 @@ pub mod span;
 
 pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, SweepEngine, VmEngine};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsShard, MetricsSnapshot, Registry};
-pub use span::{PhaseNode, PhaseStat, Span, Tracer};
+pub use span::{span_path, Adopted, PhaseNode, PhaseStat, Span, Tracer};
 
 use std::sync::OnceLock;
 use std::time::Instant;

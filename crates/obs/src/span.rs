@@ -16,6 +16,11 @@
 //!       replay                     0.102s    4.8%
 //! ```
 //!
+//! A thread starts with an empty stack, so a span it opens is a root.
+//! A worker that does part of its caller's phase reads the caller's
+//! path with [`span_path`] and [`Tracer::adopt`]s it first; its spans
+//! then nest under the caller's, as if it had opened them inline.
+//!
 //! When `CODELAYOUT_TRACE_OUT` names a file (see
 //! [`Tracer::init_export_from_env`]), every span begin/end is appended
 //! as one JSON line `{"ev":"B"|"E","path":...,"thread":...,"t_us":...}`
@@ -134,6 +139,17 @@ impl Tracer {
             path,
             start_ns,
             active: true,
+        }
+    }
+
+    /// Seeds this thread's span stack with `path` (a caller's
+    /// [`span_path`]) until the returned guard drops: spans opened
+    /// meanwhile nest under it. The adopted path itself records
+    /// nothing; the span that owns it does, on its own thread.
+    pub fn adopt(&self, path: &str) -> Adopted {
+        STACK.with(|s| s.borrow_mut().push(path.to_string()));
+        Adopted {
+            path: path.to_string(),
         }
     }
 
@@ -360,6 +376,40 @@ fn fmt_dur(ns: u64) -> String {
     }
 }
 
+/// The calling thread's innermost live span path, if any: what a
+/// worker thread passes to [`Tracer::adopt`] to nest under it.
+pub fn span_path() -> Option<String> {
+    STACK.with(|s| s.borrow().last().cloned())
+}
+
+/// Pops `path` (and anything a leaked span left above it) off this
+/// thread's span stack.
+fn pop_through(path: &str) {
+    STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        // Robust even if an inner span was leaked (e.g. across a panic
+        // boundary).
+        while let Some(top) = stack.pop() {
+            if top == path {
+                break;
+            }
+        }
+    });
+}
+
+/// Guard from [`Tracer::adopt`]: un-adopts the path on drop.
+#[derive(Debug)]
+#[must_use = "the adopted path is dropped again at once"]
+pub struct Adopted {
+    path: String,
+}
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        pop_through(&self.path);
+    }
+}
+
 /// An RAII phase timer from [`Tracer::span`]. Records its wall time
 /// into the tracer when dropped or explicitly [`finish`](Span::finish)ed.
 #[derive(Debug)]
@@ -399,16 +449,7 @@ impl<'t> Span<'t> {
         }
         self.active = false;
         let end_ns = now_ns();
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // Pop up to and including this span's path: robust even if
-            // an inner span was leaked (e.g. across a panic boundary).
-            while let Some(top) = stack.pop() {
-                if top == self.path {
-                    break;
-                }
-            }
-        });
+        pop_through(&self.path);
         self.tracer
             .record(&self.path, end_ns.saturating_sub(self.start_ns));
         self.tracer.export_event("E", &self.path, end_ns);
@@ -468,6 +509,28 @@ mod tests {
         t.set_enabled(true);
         t.span("real").finish();
         assert_eq!(t.phase_snapshot().len(), 1);
+    }
+
+    #[test]
+    fn adopted_path_nests_worker_spans() {
+        let t = Tracer::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let adopted = t.adopt("a/b");
+                assert_eq!(span_path().as_deref(), Some("a/b"));
+                assert_eq!(t.span("c").path(), "a/b/c");
+                drop(adopted);
+                assert_eq!(span_path(), None);
+            });
+            s.spawn(|| {
+                assert_eq!(span_path(), None);
+                assert_eq!(t.span("c").path(), "c");
+            });
+        });
+        let snap = t.phase_snapshot();
+        let paths: Vec<&str> = snap.iter().map(|(p, _)| p.as_str()).collect();
+        // The adopted path itself is not timed; only real spans record.
+        assert_eq!(paths, vec!["a/b/c", "c"]);
     }
 
     #[test]

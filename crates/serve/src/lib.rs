@@ -465,6 +465,7 @@ fn run_window<H: ExecHook>(
     hook: &mut H,
     duty: u64,
 ) -> WindowRun {
+    let run_span = codelayout_obs::span("window_run");
     let (mut m, sga) =
         study.new_machine_with(image, &study.base_kernel_image, end_txn, cfg.vm_engine);
     if let Some(words_snapshot) = snapshot {
@@ -497,6 +498,7 @@ fn run_window<H: ExecHook>(
         invariants.history_count as u64, end_txn,
         "serving window committed the wrong number of transactions"
     );
+    run_span.finish();
 
     let shared = m.shared_mem().to_vec();
     let frozen = trace.freeze();

@@ -16,17 +16,23 @@
 //!    point, build the layout ([`codelayout_core::LayoutPipeline`]),
 //!    link it, and run [`codelayout_analysis::validate_translation`]
 //!    **unconditionally** (an invalid candidate scores `u64::MAX` and can
-//!    never win). Then translate every recorded tuple into the candidate
-//!    image's addresses and replay the window through the parallel cache
-//!    sweep ([`codelayout_memsim::ParallelSweep`]); the fitness is the
-//!    summed miss count over the evaluation grid.
+//!    never win). Then replay the window through the parallel cache
+//!    sweep ([`codelayout_memsim::ParallelSweep::run_from`]) as a
+//!    [`TraceSource`] that translates each recorded tuple into the
+//!    candidate image's addresses as the sweep workers read it, so no
+//!    per-candidate trace is built; the fitness is the summed miss count
+//!    over the evaluation grid.
 //! 3. **Search.** Per series family: evaluate the defaults first (the
 //!    fixed series everyone ships), greedy coordinate descent from
 //!    there, then seeded random restarts, under a per-family candidate
 //!    budget. The RNG is `CODELAYOUT_SEED`-derived
-//!    ([`rand::rngs::StdRng`], one stream per family), duplicate points
-//!    hit a cache instead of consuming budget, and every fresh
-//!    evaluation is streamed as a `tune/candidate` tracer event.
+//!    ([`rand::rngs::StdRng`], one stream per family) and duplicate
+//!    points hit a per-family cache instead of consuming budget, so
+//!    families share nothing mutable: they search concurrently, on up
+//!    to [`TuneConfig::sweep_threads`] threads that take families in
+//!    config order. After the join the trajectories are concatenated in
+//!    config order, numbered, and every fresh evaluation is streamed as
+//!    a `tune/candidate` tracer event in that order.
 //!
 //! The remap clamps an offset that exceeds the candidate block's length
 //! (layouts erase or materialize unconditional jumps, so per-block
@@ -37,8 +43,9 @@
 //!
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
 //! across sweep engines and thread counts, and contains no wall-clock.
-//! A wall budget ([`TuneConfig::budget_ms`]) that actually fires cuts
-//! the search at a time-dependent point — the default (0, unlimited)
+//! A wall budget ([`TuneConfig::budget_ms`], one deadline shared by
+//! every family) that actually fires cuts the search at a
+//! time-dependent point — the default (0, unlimited)
 //! keeps the whole trajectory reproducible from the seed, and a
 //! triggered cut is recorded as `budget_hit`.
 
@@ -51,11 +58,14 @@ use codelayout_ir::Image;
 use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
 use codelayout_obs::{run_env, SweepEngine};
 use codelayout_oltp::{Scenario, Study};
-use codelayout_vm::{FetchRecord, TraceBuffer, TraceSink, APP_TEXT_BASE};
+use codelayout_vm::{FetchRecord, TraceSink, TraceSource, APP_TEXT_BASE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Cache sizes (KB) of the fitness-oracle grid. Deliberately extends
 /// the paper's 32–512 KB sweep *downward*: layout quality shows up as
@@ -91,7 +101,10 @@ pub struct TuneConfig {
     pub series: Vec<LayoutSeries>,
     /// Cache-replay engine for the fitness oracle.
     pub sweep_engine: SweepEngine,
-    /// Worker threads for the cache replay.
+    /// Threads for the search: up to this many families search at once
+    /// (the calling thread is one of them), and each family's cache
+    /// replay gets `sweep_threads / families searching` workers (at
+    /// least one). The report does not depend on it.
     pub sweep_threads: usize,
 }
 
@@ -376,63 +389,90 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// The fitness oracle: the read-only state every family search shares.
 struct Oracle<'a> {
     study: &'a Study,
-    sweeper: ParallelSweep,
     spec: SweepSpec,
     window: Vec<WindowEvent>,
     nblocks: usize,
-    start: std::time::Instant,
-    budget_ms: u64,
-    budget_hit: bool,
-    candidate_no: u64,
-    trajectory: Vec<CandidateRecord>,
+    /// End of the wall budget, shared by all families (`None`: unlimited).
+    deadline: Option<Instant>,
+    /// Set once any family finds the deadline passed. It publishes no
+    /// other data, so relaxed ordering suffices.
+    budget_hit: AtomicBool,
 }
 
 impl Oracle<'_> {
     /// Replays the window remapped onto `image`; returns (total misses,
     /// per-cell misses).
-    fn replay(&self, image: &Image) -> (u64, Vec<u64>) {
-        let len = block_lengths(image, self.nblocks);
-        let last = image.len() as u32 - 1;
-        let mut buf = TraceBuffer::fetch_only();
-        buf.reserve(self.window.len());
-        for ev in &self.window {
-            let b = ev.block as usize;
-            let off = ev.off.min(len[b].saturating_sub(1));
-            let idx = (image.block_start[b] + off).min(last);
-            buf.fetch(FetchRecord {
-                addr: image.addr(idx),
-                cpu: ev.cpu,
-                pid: ev.pid,
-                kernel: false,
-            });
-        }
-        let frozen = buf.freeze();
-        let cells = self.sweeper.run_one(&frozen, &self.spec);
+    fn replay(&self, sweeper: &ParallelSweep, image: &Image) -> (u64, Vec<u64>) {
+        let source = RemappedWindow {
+            window: &self.window,
+            image,
+            len: block_lengths(image, self.nblocks),
+        };
+        let cells = sweeper.run_one(&source, &self.spec);
         let per_cell: Vec<u64> = cells.iter().map(|c| c.stats.misses).collect();
         (per_cell.iter().sum(), per_cell)
     }
 
     /// True when the wall budget is exhausted (records `budget_hit`).
-    fn wall_exhausted(&mut self) -> bool {
-        if self.budget_ms > 0 && self.start.elapsed().as_millis() as u64 >= self.budget_ms {
-            self.budget_hit = true;
+    fn wall_exhausted(&self) -> bool {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.budget_hit.store(true, Ordering::Relaxed);
         }
-        self.budget_hit
+        self.budget_hit.load(Ordering::Relaxed)
     }
 }
 
+/// The window translated into a candidate image's addresses, as a
+/// [`TraceSource`]: each sweep worker remaps the events while it
+/// replays them, so no per-candidate trace is ever built.
+struct RemappedWindow<'a> {
+    window: &'a [WindowEvent],
+    image: &'a Image,
+    /// Per-block instruction counts of `image`.
+    len: Vec<u32>,
+}
+
+impl TraceSource for RemappedWindow<'_> {
+    fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+        let last = self.image.len() as u32 - 1;
+        for ev in self.window {
+            let b = ev.block as usize;
+            let off = ev.off.min(self.len[b].saturating_sub(1));
+            let idx = (self.image.block_start[b] + off).min(last);
+            sink.fetch(FetchRecord {
+                addr: self.image.addr(idx),
+                cpu: ev.cpu,
+                pid: ev.pid,
+                kernel: false,
+            });
+        }
+    }
+
+    fn events(&self) -> usize {
+        self.window.len()
+    }
+}
+
+/// One family's search state. Families share nothing mutable, so they
+/// can run on different threads with identical results.
 struct FamilySearch {
     series: LayoutSeries,
     space: ParamSpace,
+    seed: u64,
     budget: u64,
+    sweeper: ParallelSweep,
     cache: BTreeMap<ParamPoint, u64>,
     evaluated: u64,
     cache_hits: u64,
     rejected: u64,
     best: Option<(ParamPoint, u64, Vec<u64>)>,
     default_score: u64,
+    /// This family's fresh evaluations, numbered from 0 within the
+    /// family; `run_tune` renumbers them globally.
+    trajectory: Vec<CandidateRecord>,
 }
 
 impl FamilySearch {
@@ -441,7 +481,7 @@ impl FamilySearch {
     /// trajectory. Returns `None` when out of budget (candidate or wall).
     fn eval(
         &mut self,
-        oracle: &mut Oracle<'_>,
+        oracle: &Oracle<'_>,
         point: &ParamPoint,
         origin: CandidateOrigin,
     ) -> Option<u64> {
@@ -466,7 +506,7 @@ impl FamilySearch {
         let (score, cells, validated) = match image {
             Some(image) => {
                 let _replay_span = codelayout_obs::span("tune_replay");
-                let (score, cells) = oracle.replay(&image);
+                let (score, cells) = oracle.replay(&self.sweeper, &image);
                 (score, cells, true)
             }
             None => (u64::MAX, Vec::new(), false),
@@ -479,35 +519,15 @@ impl FamilySearch {
         if accepted {
             self.best = Some((point.clone(), score, cells));
         }
-        let rec = CandidateRecord {
-            candidate: oracle.candidate_no,
+        self.trajectory.push(CandidateRecord {
+            candidate: self.trajectory.len() as u64,
             series: self.series,
             point: point.clone(),
             score,
             accepted,
             validated,
             origin,
-        };
-        codelayout_obs::tracer().event(
-            "tune/candidate",
-            json!({
-                "candidate": rec.candidate,
-                "series": rec.series.label(),
-                "point": rec.point.indices(),
-                "params": params_json(&self.space, &params),
-                "score": if validated { json!(score) } else { json!(null) },
-                "accepted": rec.accepted,
-                "validated": rec.validated,
-                "origin": rec.origin.label(),
-            }),
-        );
-        let m = codelayout_obs::metrics();
-        m.add("tune.candidates", 1);
-        if !validated {
-            m.add("tune.rejected", 1);
-        }
-        oracle.candidate_no += 1;
-        oracle.trajectory.push(rec);
+        });
         self.cache.insert(point.clone(), score);
         Some(score)
     }
@@ -515,7 +535,7 @@ impl FamilySearch {
     /// Greedy coordinate descent from `start`: probe each knob's ±1
     /// neighbors in order, move on strict improvement, repeat until a
     /// full pass makes no move (or the budget runs out).
-    fn descend(&mut self, oracle: &mut Oracle<'_>, start: ParamPoint) {
+    fn descend(&mut self, oracle: &Oracle<'_>, start: ParamPoint) {
         let Some(mut cur_score) = self.eval(oracle, &start, CandidateOrigin::Restart) else {
             return;
         };
@@ -544,7 +564,7 @@ impl FamilySearch {
     }
 
     /// The full family search: default point, descent, random restarts.
-    fn run(&mut self, oracle: &mut Oracle<'_>, seed: u64) {
+    fn run(&mut self, oracle: &Oracle<'_>) {
         let default = self.space.default_point();
         if self
             .eval(oracle, &default, CandidateOrigin::Default)
@@ -554,7 +574,7 @@ impl FamilySearch {
         }
         self.default_score = self.cache[&default];
         self.descend(oracle, default);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut stale = 0u32;
         while self.evaluated < self.budget
             && !oracle.wall_exhausted()
@@ -577,17 +597,80 @@ impl FamilySearch {
     }
 }
 
+/// Runs the family searches on the calling thread plus up to
+/// `sweep_threads - 1` scoped workers. Each thread takes the next
+/// family in config order until none is left; the searches come back
+/// in config order. Workers adopt the caller's span path, so their
+/// phases nest exactly as a serial search's would.
+fn search_families(
+    oracle: &Oracle<'_>,
+    families: Vec<FamilySearch>,
+    workers: usize,
+) -> Vec<FamilySearch> {
+    let families: Vec<Mutex<FamilySearch>> = families.into_iter().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        // The counter only hands out indices; each family's data is
+        // published by its mutex, so relaxed ordering suffices.
+        while let Some(fam) = families.get(next.fetch_add(1, Ordering::Relaxed)) {
+            fam.lock().expect("a family search panicked").run(oracle);
+        }
+    };
+    let parent = codelayout_obs::span_path();
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            let parent = parent.as_deref();
+            s.spawn(move || {
+                let _adopted = parent.map(|p| codelayout_obs::tracer().adopt(p));
+                work();
+            });
+        }
+        work();
+    });
+    families
+        .into_iter()
+        .map(|fam| fam.into_inner().expect("a family search panicked"))
+        .collect()
+}
+
+/// Streams one reported candidate as a `tune/candidate` tracer event and
+/// counts it.
+fn emit_candidate(rec: &CandidateRecord) {
+    let space = ParamSpace::for_series(rec.series);
+    codelayout_obs::tracer().event(
+        "tune/candidate",
+        json!({
+            "candidate": rec.candidate,
+            "series": rec.series.label(),
+            "point": rec.point.indices(),
+            "params": params_json(&space, &space.params(&rec.point)),
+            "score": if rec.validated { json!(rec.score) } else { json!(null) },
+            "accepted": rec.accepted,
+            "validated": rec.validated,
+            "origin": rec.origin.label(),
+        }),
+    );
+    let m = codelayout_obs::metrics();
+    m.add("tune.candidates", 1);
+    if !rec.validated {
+        m.add("tune.rejected", 1);
+    }
+}
+
 /// Runs the autotuner over a built study.
 ///
 /// Records the replay window from a measured run on the baseline image,
 /// then searches each family in [`TuneConfig::series`] (families with no
-/// knobs, like `base`, are skipped).
+/// knobs, like `base`, are skipped). Families search concurrently on up
+/// to [`TuneConfig::sweep_threads`] threads; the report, and the order
+/// of the `tune/candidate` events, are those of a serial search in
+/// config order.
 ///
 /// # Panics
 /// Panics if the recording run produced no user-mode fetches.
 pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
     let _span = codelayout_obs::span("tune");
-    let start = std::time::Instant::now();
+    let start = Instant::now();
 
     let record_span = codelayout_obs::span("tune_record");
     let mut sink = WindowSink {
@@ -595,6 +678,11 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
         cap: cfg.window as usize,
         events: Vec::new(),
     };
+    // Sized once up front: a vector that grows by doubling while the
+    // recording VM allocates around it strands the VM's freed memory as
+    // resident, and the family workers' malloc arenas cannot reuse it.
+    // A window too large to reserve falls back to growing.
+    let _ = sink.events.try_reserve_exact(sink.cap);
     study.run_measured(&study.base_image, &study.base_kernel_image, &mut sink);
     record_span.finish();
     assert!(
@@ -602,9 +690,8 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
         "recording run produced no user-mode fetches"
     );
 
-    let mut oracle = Oracle {
+    let oracle = Oracle {
         study,
-        sweeper: ParallelSweep::new(cfg.sweep_threads).with_engine(cfg.sweep_engine),
         spec: SweepSpec::grid()
             .sizes_kb(&TUNE_SIZES_KB)
             .line_b(EVAL_LINE_B)
@@ -613,14 +700,12 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             .filter(StreamFilter::UserOnly),
         window: sink.events,
         nblocks: study.app.program.blocks.len(),
-        start,
-        budget_ms: cfg.budget_ms,
-        budget_hit: false,
-        candidate_no: 0,
-        trajectory: Vec::new(),
+        deadline: (cfg.budget_ms > 0).then(|| start + Duration::from_millis(cfg.budget_ms)),
+        budget_hit: AtomicBool::new(false),
     };
     let window_events = oracle.window.len() as u64;
-    let (base_score, base_cells) = oracle.replay(&study.base_image);
+    let sweeper = ParallelSweep::new(cfg.sweep_threads).with_engine(cfg.sweep_engine);
+    let (base_score, base_cells) = oracle.replay(&sweeper, &study.base_image);
 
     // Score every fixed comparison series through the same oracle: the
     // yardstick the tuned layouts must beat, on the same window and
@@ -637,7 +722,7 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             .unwrap_or_else(|e| {
                 panic!("fixed `{series}` image failed translation validation: {e}")
             });
-        let (score, cells) = oracle.replay(&image);
+        let (score, cells) = oracle.replay(&sweeper, &image);
         fixed.push(FixedResult {
             series,
             score,
@@ -647,31 +732,47 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
     fixed_span.finish();
 
     let search_span = codelayout_obs::span("tune_search");
-    let mut families = Vec::new();
-    for &series in &cfg.series {
-        let space = ParamSpace::for_series(series);
-        if space.is_empty() {
-            continue;
-        }
-        let mut fam = FamilySearch {
+    let spaces: Vec<(LayoutSeries, ParamSpace)> = cfg
+        .series
+        .iter()
+        .map(|&series| (series, ParamSpace::for_series(series)))
+        .filter(|(_, space)| !space.is_empty())
+        .collect();
+    let workers = cfg.sweep_threads.clamp(1, spaces.len().max(1));
+    let family_sweeper =
+        ParallelSweep::new(cfg.sweep_threads / workers).with_engine(cfg.sweep_engine);
+    let searches = spaces
+        .into_iter()
+        .map(|(series, space)| FamilySearch {
             series,
             space,
+            seed: cfg.seed ^ fnv1a(series.label()),
             budget: cfg.candidates,
+            sweeper: family_sweeper.clone(),
             cache: BTreeMap::new(),
             evaluated: 0,
             cache_hits: 0,
             rejected: 0,
             best: None,
             default_score: u64::MAX,
-        };
-        fam.run(&mut oracle, cfg.seed ^ fnv1a(series.label()));
-        let Some((best_point, best_score, best_cells)) = fam.best.clone() else {
+            trajectory: Vec::new(),
+        })
+        .collect();
+    let mut families = Vec::new();
+    let mut trajectory = Vec::new();
+    for fam in search_families(&oracle, searches, workers) {
+        for mut rec in fam.trajectory {
+            rec.candidate = trajectory.len() as u64;
+            emit_candidate(&rec);
+            trajectory.push(rec);
+        }
+        let Some((best_point, best_score, best_cells)) = fam.best else {
             // Budget ran out before even the default evaluated.
             break;
         };
         codelayout_obs::metrics().add("tune.families", 1);
         families.push(FamilyResult {
-            series,
+            series: fam.series,
             best_params: fam.space.params(&best_point),
             best_point,
             best_score,
@@ -691,12 +792,11 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
         base_cells,
         fixed,
         families,
-        trajectory: oracle.trajectory,
-        budget_hit: oracle.budget_hit,
+        trajectory,
+        budget_hit: oracle.budget_hit.into_inner(),
         wall_ms: start.elapsed().as_millis() as u64,
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,6 +816,56 @@ mod tests {
                 assert_eq!(a == b, fnv1a(a) == fnv1a(b), "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn remapped_window_replays_the_materialized_remap() {
+        let study = codelayout_oltp::build_study(&Scenario::quick());
+        let mut sink = WindowSink {
+            image: &study.base_image,
+            cap: 200_000,
+            events: Vec::new(),
+        };
+        study.run_measured(&study.base_image, &study.base_kernel_image, &mut sink);
+        let window = sink.events;
+        let nblocks = study.app.program.blocks.len();
+        let layout = study.layout_series_params(
+            LayoutSeries::Paper(OptimizationSet::CHAIN),
+            &LayoutParams::default(),
+        );
+        let image = link(&study.app.program, &layout, APP_TEXT_BASE).expect("chained layout links");
+        let len = block_lengths(&image, nblocks);
+        assert!(
+            window.iter().any(|ev| ev.off >= len[ev.block as usize]),
+            "no offset needed the clamp: the test would not cover it"
+        );
+
+        // Reference: the remap materialized into a trace buffer first.
+        let last = image.len() as u32 - 1;
+        let mut buf = codelayout_vm::TraceBuffer::fetch_only();
+        for ev in &window {
+            let b = ev.block as usize;
+            let off = ev.off.min(len[b].saturating_sub(1));
+            let idx = (image.block_start[b] + off).min(last);
+            buf.fetch(FetchRecord {
+                addr: image.addr(idx),
+                cpu: ev.cpu,
+                pid: ev.pid,
+                kernel: false,
+            });
+        }
+        let mut expected = codelayout_vm::RecordingSink::default();
+        buf.freeze().replay(&mut expected);
+
+        let source = RemappedWindow {
+            window: &window,
+            image: &image,
+            len,
+        };
+        let mut got = codelayout_vm::RecordingSink::default();
+        source.replay_into(&mut got);
+        assert_eq!(source.events(), window.len());
+        assert_eq!(got.fetches, expected.fetches);
     }
 
     #[test]

@@ -1,41 +1,71 @@
 //! End-to-end determinism of the autotuner: the search trajectory and
 //! report must be bit-identical across cache-replay engines and worker
-//! thread counts, and every accepted candidate must have passed
-//! translation validation.
+//! thread counts (which also set how many families search at once), and
+//! every accepted candidate must have passed translation validation.
 
 use codelayout_obs::SweepEngine;
 use codelayout_oltp::{build_study, Scenario};
-use codelayout_tune::{run_tune, TuneConfig, TUNE_SIZES_KB};
+use codelayout_tune::{run_tune, TuneConfig, TuneReport, TUNE_SIZES_KB};
 
-/// Budget small enough to keep the double run fast, big enough to get
+/// Budget small enough to keep the repeated runs fast, big enough to get
 /// past the default point and into descent in every family.
 const CANDIDATES: u64 = 12;
 
 #[test]
 fn tune_is_deterministic_across_engines_and_threads() {
     let study = build_study(&Scenario::quick());
-
     let mut cfg = TuneConfig::for_scenario(&study.scenario);
     cfg.candidates = CANDIDATES;
-    cfg.sweep_engine = SweepEngine::Stack;
-    cfg.sweep_threads = 1;
-    let a = run_tune(&study, &cfg);
 
-    cfg.sweep_engine = SweepEngine::Direct;
-    cfg.sweep_threads = 7;
-    let b = run_tune(&study, &cfg);
+    // 1 thread: one family at a time. 2 and 3: two and three families at
+    // once (3 splits four families unevenly). 8: all four families with
+    // two sweep workers each, so a candidate's remap replays on several
+    // threads. 7 on the direct engine: four families, one worker each.
+    let runs: Vec<(SweepEngine, usize, TuneReport)> = [
+        (SweepEngine::Stack, 1),
+        (SweepEngine::Stack, 2),
+        (SweepEngine::Stack, 3),
+        (SweepEngine::Stack, 8),
+        (SweepEngine::Direct, 7),
+    ]
+    .into_iter()
+    .map(|(engine, threads)| {
+        cfg.sweep_engine = engine;
+        cfg.sweep_threads = threads;
+        (engine, threads, run_tune(&study, &cfg))
+    })
+    .collect();
 
+    let a = &runs[0].2;
     let ja = serde_json::to_string_pretty(&a.deterministic_json()).unwrap();
-    let jb = serde_json::to_string_pretty(&b.deterministic_json()).unwrap();
-    assert_eq!(
-        ja, jb,
-        "tune report differs between stack/1-thread and direct/7-thread runs"
-    );
+    for (engine, threads, r) in &runs[1..] {
+        let jr = serde_json::to_string_pretty(&r.deterministic_json()).unwrap();
+        assert_eq!(
+            ja,
+            jr,
+            "tune report differs between stack/1-thread and {}/{threads}-thread runs",
+            engine.label()
+        );
+    }
 
     // The deterministic report must not leak engine, thread, or wall
     // fields (run_all byte-diffs it across engines).
     for leak in ["sweep_engine", "sweep_threads", "wall_ms", "secs"] {
         assert!(!ja.contains(leak), "deterministic report leaks `{leak}`");
+    }
+
+    // Candidates are numbered 0..n and grouped by family in config
+    // order, whichever thread searched each family.
+    for (_, threads, r) in &runs {
+        let numbers: Vec<u64> = r.trajectory.iter().map(|c| c.candidate).collect();
+        assert_eq!(
+            numbers,
+            (0..r.trajectory.len() as u64).collect::<Vec<_>>(),
+            "{threads} threads"
+        );
+        let mut order: Vec<_> = r.trajectory.iter().map(|c| c.series).collect();
+        order.dedup();
+        assert_eq!(order, cfg.series, "{threads} threads");
     }
 
     // Structural guarantees the figure asserts on, checked here without

@@ -53,7 +53,7 @@ pub use machine::{Fault, Machine, MachineConfig, RunReport, SyscallDef, VmEngine
 pub use sink::{
     CountingSink, DataRecord, FetchRecord, NullSink, RecordingSink, TeeSink, TraceSink,
 };
-pub use trace::{FrozenTrace, TraceBuffer, MAX_TRACE_ADDR};
+pub use trace::{FrozenTrace, TraceBuffer, TraceSource, MAX_TRACE_ADDR};
 
 /// Base byte address of application text segments.
 pub const APP_TEXT_BASE: u64 = 0x0040_0000;

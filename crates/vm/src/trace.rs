@@ -11,7 +11,10 @@
 //!
 //! This is the substrate for the parallel configuration sweeps: the
 //! workload executes once, and the 100+ cache-grid simulations replay
-//! the frozen trace from worker threads.
+//! the frozen trace from worker threads. The sweeps accept any
+//! [`TraceSource`], so a caller whose records are a cheap function of
+//! data it already holds (the autotuner's remapped window) can stream
+//! them to the workers without materializing a trace first.
 //!
 //! [`RecordingSink`]: crate::RecordingSink
 
@@ -167,6 +170,18 @@ impl TraceSink for TraceBuffer {
     }
 }
 
+/// A replayable, thread-shareable record stream: every
+/// [`replay_into`](TraceSource::replay_into) call must deliver the same
+/// record sequence, so concurrent replays from sweep workers see
+/// identical input.
+pub trait TraceSource: Sync {
+    /// Replays every record, in order, into `sink`.
+    fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S);
+
+    /// Number of records one replay delivers.
+    fn events(&self) -> usize;
+}
+
 /// An immutable recorded trace, cheap to clone and share across
 /// threads (`Arc`-backed). See the module docs for the intended
 /// record-once / replay-in-parallel pattern.
@@ -233,6 +248,16 @@ impl FrozenTrace {
                 });
             }
         }
+    }
+}
+
+impl TraceSource for FrozenTrace {
+    fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+        self.replay(sink);
+    }
+
+    fn events(&self) -> usize {
+        self.len()
     }
 }
 
