@@ -7,10 +7,9 @@
 //! Unlike the offline figures, the study is built on the serving
 //! stream itself ([`ServeConfig::serve_scenario`]): the warmup is
 //! folded away and the measured section sized to the full stream so
-//! the SGA history region fits every epoch. Knobs:
-//! `CODELAYOUT_SERVE_EPOCH_TXNS`, `CODELAYOUT_SERVE_SAMPLE_PERIOD`,
-//! `CODELAYOUT_SERVE_SAMPLE_DUTY`, `CODELAYOUT_SERVE_DRIFT_THRESHOLD`,
-//! `CODELAYOUT_SEED`, plus the usual scenario/engine/thread knobs.
+//! the SGA history region fits every epoch. The loop runs
+//! `ServeConfig::drift_demo`; knobs: `CODELAYOUT_SEED` plus the usual
+//! scenario/engine/thread knobs.
 
 use codelayout_bench::{figures, finish_run, scenario_label_from_env, Harness};
 use codelayout_serve::ServeConfig;

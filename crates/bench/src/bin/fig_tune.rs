@@ -3,11 +3,11 @@
 //! candidate budget, re-measure the winners on the full workload, and
 //! print the base vs fixed vs tuned comparison. Writes
 //! `results/fig_tune.json` and a run manifest whose `tune` section
-//! carries the search trajectory summary. Knobs:
-//! `CODELAYOUT_TUNE_BUDGET`, `CODELAYOUT_TUNE_CANDIDATES`,
-//! `CODELAYOUT_TUNE_WINDOW`, `CODELAYOUT_SEED`, plus the usual
-//! scenario/engine/thread knobs. `CODELAYOUT_TRACE_OUT` streams each
-//! evaluated candidate as a `tune/candidate` JSONL event.
+//! carries the search trajectory summary. The search runs
+//! `TuneConfig::for_scenario` (48 candidates per family, a
+//! one-million-event window, no wall budget); knobs: `CODELAYOUT_SEED`
+//! plus the usual scenario/engine/thread knobs. `CODELAYOUT_TRACE_OUT`
+//! streams each evaluated candidate as a `tune/candidate` JSONL event.
 
 use codelayout_bench::{figures, finish_run, Harness};
 use codelayout_tune::TuneConfig;

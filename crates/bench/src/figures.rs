@@ -575,25 +575,6 @@ pub fn fig15(h: &mut Harness) -> Value {
     })
 }
 
-/// The layout series compared by [`compare`]: the
-/// `CODELAYOUT_LAYOUT_SERIES` selection, defaulting to
-/// [`LayoutSeries::comparison`] (base, all, hotcold, exttsp, stitcher).
-///
-/// # Panics
-/// Panics on a label [`LayoutSeries::parse`] does not accept — a
-/// misspelled series must fail the run, not silently shrink the table.
-pub fn compare_series() -> Vec<LayoutSeries> {
-    match &run_env().layout_series {
-        Some(labels) => labels
-            .iter()
-            .map(|l| {
-                LayoutSeries::parse(l).unwrap_or_else(|e| panic!("CODELAYOUT_LAYOUT_SERIES: {e}"))
-            })
-            .collect(),
-        None => LayoutSeries::comparison().to_vec(),
-    }
-}
-
 /// Cross-algorithm comparison table: the paper trio vs the ext-TSP and
 /// Codestitcher passes, per series — I-cache misses (128 B / 4-way),
 /// the shared ext-TSP objective score of the application layout, text
@@ -605,17 +586,10 @@ pub fn compare_series() -> Vec<LayoutSeries> {
 /// `codelayout_core::exttsp_score` and shared with the pass and its
 /// property tests).
 pub fn compare(h: &mut Harness) -> Value {
-    compare_with(h, &compare_series())
-}
-
-/// [`compare`] over an explicit series list (the golden test pins the
-/// default list so a caller's `CODELAYOUT_LAYOUT_SERIES` cannot change
-/// the snapshot).
-pub fn compare_with(h: &mut Harness, series_list: &[LayoutSeries]) -> Value {
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut scores: Vec<(LayoutSeries, u64)> = Vec::new();
-    for &series in series_list {
+    for series in LayoutSeries::comparison() {
         let label = series.label();
         let (misses, user_fetches, text_bytes) = {
             let d = h.run(label);

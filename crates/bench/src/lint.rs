@@ -44,6 +44,7 @@ pub fn lint_study(study: &Study) -> Vec<LintCell> {
 /// two cells [`lint_study`] produces per series, reused by the
 /// comparison table for series outside the lint matrix.
 pub fn lint_series_cells(study: &Study, series: LayoutSeries) -> Vec<LintCell> {
+    let _span = codelayout_obs::span("lint");
     let targets: [(
         &'static str,
         &codelayout_ir::Program,

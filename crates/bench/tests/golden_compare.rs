@@ -6,9 +6,8 @@
 //! deterministic VM, thread-count-independent sweeps, integer
 //! fixed-point ext-TSP scores, BTreeMap-ordered lint summaries — so any
 //! diff is a real behavior change in a layout pass, the simulator, or
-//! the lint battery. The series list is pinned to the default
-//! comparison set here so a caller's `CODELAYOUT_LAYOUT_SERIES` cannot
-//! change the snapshot.
+//! the lint battery. The table always covers
+//! `LayoutSeries::comparison()`, so no environment knob changes it.
 //!
 //! # Updating the snapshot
 //!
@@ -22,7 +21,6 @@
 //! commit and explain the shift in the commit message.
 
 use codelayout_bench::{figures, Harness};
-use codelayout_core::LayoutSeries;
 use codelayout_oltp::Scenario;
 use serde_json::Value;
 
@@ -35,7 +33,7 @@ const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 #[test]
 fn compare_quick_matches_golden_snapshot() {
     let mut h = Harness::with_label(&Scenario::quick(), "quick");
-    let got = figures::compare_with(&mut h, &LayoutSeries::comparison());
+    let got = figures::compare(&mut h);
 
     if codelayout_bench::run_env().update_golden {
         let mut text = serde_json::to_string_pretty(&got).expect("serialize snapshot");

@@ -73,7 +73,7 @@ impl LayoutSeries {
         ]
     }
 
-    /// Stable lowercase label, as accepted by `CODELAYOUT_LAYOUT_SERIES`
+    /// Stable lowercase label, as accepted by [`LayoutSeries::parse`]
     /// and used by the harness, figures and manifests.
     pub fn label(self) -> &'static str {
         match self {
@@ -92,9 +92,8 @@ impl LayoutSeries {
 
     /// Parses a label produced by [`LayoutSeries::label`].
     ///
-    /// The error names every accepted label, so misspelled env knobs and
-    /// harness run names fail with an actionable message instead of a
-    /// bare `None`.
+    /// The error names every accepted label, so misspelled harness run
+    /// names fail with an actionable message instead of a bare `None`.
     pub fn parse(s: &str) -> Result<LayoutSeries, ParseSeriesError> {
         LayoutSeries::all()
             .into_iter()

@@ -16,21 +16,14 @@
 //! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | sweep worker count (default: available parallelism) |
 //! | `CODELAYOUT_SWEEP_ENGINE` | [`RunEnv::sweep_engine`] | `stack` (default) or `direct` grid-replay engine |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
-//! | `CODELAYOUT_LAYOUT_SERIES` | [`RunEnv::layout_series`] | comma-separated layout-series labels for the comparison table (default: the five-series comparison set) |
 //! | `CODELAYOUT_PROFILE_SOURCE` | [`RunEnv::profile_source`] | `measured` (default) or `static` profile feeding the layout passes |
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |
 //! | `CODELAYOUT_UPDATE_GOLDEN` | [`RunEnv::update_golden`] | `1` = rewrite golden snapshots instead of asserting |
 //! | `CODELAYOUT_SEED` | [`RunEnv::seed`] | scenario master-seed override (decimal or `0x` hex) |
-//! | `CODELAYOUT_SERVE_EPOCH_TXNS` | [`RunEnv::serve_epoch_txns`] | serving-loop epoch length in transactions |
-//! | `CODELAYOUT_SERVE_SAMPLE_PERIOD` | [`RunEnv::serve_sample_period`] | serving-loop control-transfer sampling period |
-//! | `CODELAYOUT_SERVE_DRIFT_THRESHOLD` | [`RunEnv::serve_drift_threshold`] | re-layout drift threshold, milli-L1 units (0–2000) |
-//! | `CODELAYOUT_SERVE_SAMPLE_DUTY` | [`RunEnv::serve_sample_duty`] | serving-loop temporal duty cycle (sampler attached 1-in-N chunks) |
-//! | `CODELAYOUT_TUNE_BUDGET` | [`RunEnv::tune_budget_ms`] | autotuner wall-clock budget in ms (0 = unlimited; a triggered cut is non-deterministic) |
-//! | `CODELAYOUT_TUNE_CANDIDATES` | [`RunEnv::tune_candidates`] | autotuner candidate-evaluation budget per series family |
-//! | `CODELAYOUT_TUNE_WINDOW` | [`RunEnv::tune_window`] | autotuner trace-window length in fetch events |
 //!
-//! The README's "Environment knobs" table is generated from this list;
-//! keep the two in sync.
+//! [`KNOBS`] lists the same eight names. A test keeps this table and
+//! the README's "Environment knobs" table equal to it, and any other
+//! `CODELAYOUT_*` variable in the environment draws a warning.
 
 use std::sync::OnceLock;
 
@@ -42,10 +35,6 @@ pub const THREADS_ENV: &str = "CODELAYOUT_THREADS";
 pub const SWEEP_ENGINE_ENV: &str = "CODELAYOUT_SWEEP_ENGINE";
 /// Environment variable selecting the VM execution tier.
 pub const VM_ENGINE_ENV: &str = "CODELAYOUT_VM_ENGINE";
-/// Environment variable selecting the layout series for the comparison
-/// table (comma-separated labels; this crate stores them as opaque
-/// strings — `codelayout-core`'s `LayoutSeries::parse` interprets them).
-pub const LAYOUT_SERIES_ENV: &str = "CODELAYOUT_LAYOUT_SERIES";
 /// Environment variable selecting the profile source feeding the layout
 /// passes: `measured` execution counts or the `static` Ball–Larus-style
 /// estimate (`codelayout-analysis` owns the estimator).
@@ -59,31 +48,18 @@ pub const UPDATE_GOLDEN_ENV: &str = "CODELAYOUT_UPDATE_GOLDEN";
 /// per-process RNG streams, and therefore every serving-loop epoch
 /// record.
 pub const SEED_ENV: &str = "CODELAYOUT_SEED";
-/// Environment variable overriding the serving-loop epoch length
-/// (transactions per epoch).
-pub const SERVE_EPOCH_TXNS_ENV: &str = "CODELAYOUT_SERVE_EPOCH_TXNS";
-/// Environment variable overriding the serving-loop sampling period
-/// (one sample every N control transfers).
-pub const SERVE_SAMPLE_PERIOD_ENV: &str = "CODELAYOUT_SERVE_SAMPLE_PERIOD";
-/// Environment variable overriding the serving-loop re-layout drift
-/// threshold, in milli-L1 units (0 = always re-layout, 2000 = never).
-pub const SERVE_DRIFT_THRESHOLD_ENV: &str = "CODELAYOUT_SERVE_DRIFT_THRESHOLD";
-/// Environment variable overriding the serving-loop temporal duty
-/// cycle (the sampler is attached for one of every N scheduling
-/// chunks).
-pub const SERVE_SAMPLE_DUTY_ENV: &str = "CODELAYOUT_SERVE_SAMPLE_DUTY";
-/// Environment variable overriding the layout autotuner's wall-clock
-/// budget in milliseconds (0 = unlimited — the deterministic default;
-/// a budget that actually fires truncates the search at a
-/// wall-clock-dependent point, so the trajectory is no longer
-/// reproducible).
-pub const TUNE_BUDGET_ENV: &str = "CODELAYOUT_TUNE_BUDGET";
-/// Environment variable overriding the layout autotuner's
-/// candidate-evaluation budget per series family.
-pub const TUNE_CANDIDATES_ENV: &str = "CODELAYOUT_TUNE_CANDIDATES";
-/// Environment variable overriding the layout autotuner's trace-window
-/// length (fetch events replayed per candidate).
-pub const TUNE_WINDOW_ENV: &str = "CODELAYOUT_TUNE_WINDOW";
+
+/// Every knob [`RunEnv`] reads, in table order.
+pub const KNOBS: [&str; 8] = [
+    SCENARIO_ENV,
+    THREADS_ENV,
+    SWEEP_ENGINE_ENV,
+    VM_ENGINE_ENV,
+    PROFILE_SOURCE_ENV,
+    TRACE_OUT_ENV,
+    UPDATE_GOLDEN_ENV,
+    SEED_ENV,
+];
 
 /// Workload scale selected by `CODELAYOUT_SCENARIO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,11 +176,6 @@ pub struct RunEnv {
     /// VM execution tier (`CODELAYOUT_VM_ENGINE`), default
     /// [`VmEngine::Block`].
     pub vm_engine: VmEngine,
-    /// Layout-series labels for the comparison table
-    /// (`CODELAYOUT_LAYOUT_SERIES`, comma-separated); `None` selects the
-    /// default five-series comparison set. Labels are kept as strings
-    /// here — `codelayout-core` owns their interpretation.
-    pub layout_series: Option<Vec<String>>,
     /// Profile source feeding the layout passes
     /// (`CODELAYOUT_PROFILE_SOURCE`), default [`ProfileSource::Measured`].
     pub profile_source: ProfileSource,
@@ -215,111 +186,75 @@ pub struct RunEnv {
     pub update_golden: bool,
     /// Scenario master-seed override (`CODELAYOUT_SEED`), if any.
     pub seed: Option<u64>,
-    /// Serving-loop epoch length override in transactions
-    /// (`CODELAYOUT_SERVE_EPOCH_TXNS`), if any.
-    pub serve_epoch_txns: Option<u64>,
-    /// Serving-loop sampling-period override
-    /// (`CODELAYOUT_SERVE_SAMPLE_PERIOD`), if any.
-    pub serve_sample_period: Option<u64>,
-    /// Serving-loop drift-threshold override in milli-L1 units
-    /// (`CODELAYOUT_SERVE_DRIFT_THRESHOLD`), if any.
-    pub serve_drift_threshold: Option<u64>,
-    /// Serving-loop temporal duty-cycle override
-    /// (`CODELAYOUT_SERVE_SAMPLE_DUTY`), if any.
-    pub serve_sample_duty: Option<u64>,
-    /// Autotuner wall-clock budget override in milliseconds
-    /// (`CODELAYOUT_TUNE_BUDGET`), if any. `Some(0)` means unlimited.
-    pub tune_budget_ms: Option<u64>,
-    /// Autotuner candidate-evaluation budget override
-    /// (`CODELAYOUT_TUNE_CANDIDATES`), if any.
-    pub tune_candidates: Option<u64>,
-    /// Autotuner trace-window length override in fetch events
-    /// (`CODELAYOUT_TUNE_WINDOW`), if any.
-    pub tune_window: Option<u64>,
 }
 
 impl RunEnv {
     /// Parses the current process environment. Unknown values fall back
-    /// to defaults with a warning on stderr (a misspelled knob should
-    /// be visible, not silently ignored).
+    /// to defaults, and `CODELAYOUT_*` names outside [`KNOBS`] are
+    /// ignored; both warn on stderr (a misspelled knob should be
+    /// visible, not silently ignored).
     pub fn from_process_env() -> Self {
-        let scenario = match std::env::var(SCENARIO_ENV).as_deref() {
-            Ok("quick") => ScenarioSel::Quick,
-            Ok("hw") => ScenarioSel::Hw,
-            Ok("sim") | Err(_) => ScenarioSel::Sim,
-            Ok(other) => {
-                eprintln!("warning: {SCENARIO_ENV}={other} is not quick/sim/hw; using sim");
-                ScenarioSel::Sim
-            }
-        };
-        let threads = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let sweep_engine = match std::env::var(SWEEP_ENGINE_ENV).as_deref() {
-            Ok("direct") => SweepEngine::Direct,
-            Ok("stack") | Err(_) => SweepEngine::Stack,
-            Ok(other) => {
-                eprintln!("warning: {SWEEP_ENGINE_ENV}={other} is not direct/stack; using stack");
-                SweepEngine::Stack
-            }
-        };
-        let vm_engine = match std::env::var(VM_ENGINE_ENV).as_deref() {
-            Ok("interp") => VmEngine::Interp,
-            Ok("block") | Err(_) => VmEngine::Block,
-            Ok(other) => {
-                eprintln!("warning: {VM_ENGINE_ENV}={other} is not interp/block; using block");
-                VmEngine::Block
-            }
-        };
-        let layout_series = std::env::var(LAYOUT_SERIES_ENV)
-            .ok()
-            .and_then(|v| parse_series_list(&v));
-        let profile_source = match std::env::var(PROFILE_SOURCE_ENV).as_deref() {
-            Ok("static") => ProfileSource::Static,
-            Ok("measured") | Err(_) => ProfileSource::Measured,
-            Ok(other) => {
-                eprintln!(
-                    "warning: {PROFILE_SOURCE_ENV}={other} is not measured/static; using measured"
-                );
-                ProfileSource::Measured
-            }
-        };
-        let trace_out = std::env::var(TRACE_OUT_ENV).ok().filter(|p| !p.is_empty());
-        let update_golden = std::env::var(UPDATE_GOLDEN_ENV).as_deref() == Ok("1");
-        let seed = parse_u64_knob(SEED_ENV);
-        let serve_epoch_txns = parse_u64_knob(SERVE_EPOCH_TXNS_ENV).filter(|&n| n > 0);
-        let serve_sample_period = parse_u64_knob(SERVE_SAMPLE_PERIOD_ENV).filter(|&n| n > 0);
-        let serve_drift_threshold = parse_u64_knob(SERVE_DRIFT_THRESHOLD_ENV).map(|t| {
-            if t > 2000 {
-                eprintln!(
-                    "warning: {SERVE_DRIFT_THRESHOLD_ENV}={t} exceeds the L1 range; clamping to 2000"
-                );
-            }
-            t.min(2000)
-        });
-        let serve_sample_duty = parse_u64_knob(SERVE_SAMPLE_DUTY_ENV).filter(|&n| n > 0);
-        let tune_budget_ms = parse_u64_knob(TUNE_BUDGET_ENV);
-        let tune_candidates = parse_u64_knob(TUNE_CANDIDATES_ENV).filter(|&n| n > 0);
-        let tune_window = parse_u64_knob(TUNE_WINDOW_ENV).filter(|&n| n > 0);
-        RunEnv {
-            scenario,
-            threads,
-            sweep_engine,
-            vm_engine,
-            layout_series,
-            profile_source,
-            trace_out,
-            update_golden,
-            seed,
-            serve_epoch_txns,
-            serve_sample_period,
-            serve_drift_threshold,
-            serve_sample_duty,
-            tune_budget_ms,
-            tune_candidates,
-            tune_window,
+        let vars: Vec<(String, String)> = std::env::vars_os()
+            .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
+            .collect();
+        let (env, warnings) = Self::parse(&vars);
+        for w in &warnings {
+            eprintln!("warning: {w}");
         }
+        env
+    }
+
+    /// Parses knobs from name/value pairs. Pure: returns the parsed
+    /// environment and one warning per unusable value or unknown
+    /// `CODELAYOUT_*` name, for the caller to print.
+    fn parse(vars: &[(String, String)]) -> (Self, Vec<String>) {
+        let warnings = vars
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|k| k.starts_with("CODELAYOUT_") && !KNOBS.contains(k))
+            .map(|k| format!("{k} is not a known knob; ignoring it"))
+            .collect();
+        let mut k = Knobs { vars, warnings };
+        let env = RunEnv {
+            scenario: k.choose(
+                SCENARIO_ENV,
+                &[
+                    ("sim", ScenarioSel::Sim),
+                    ("quick", ScenarioSel::Quick),
+                    ("hw", ScenarioSel::Hw),
+                ],
+            ),
+            threads: k.number(
+                THREADS_ENV,
+                |raw| raw.parse::<usize>().ok().filter(|&n| n > 0),
+                "a positive integer; using available parallelism",
+            ),
+            sweep_engine: k.choose(
+                SWEEP_ENGINE_ENV,
+                &[
+                    ("stack", SweepEngine::Stack),
+                    ("direct", SweepEngine::Direct),
+                ],
+            ),
+            vm_engine: k.choose(
+                VM_ENGINE_ENV,
+                &[("block", VmEngine::Block), ("interp", VmEngine::Interp)],
+            ),
+            profile_source: k.choose(
+                PROFILE_SOURCE_ENV,
+                &[
+                    ("measured", ProfileSource::Measured),
+                    ("static", ProfileSource::Static),
+                ],
+            ),
+            trace_out: k
+                .get(TRACE_OUT_ENV)
+                .filter(|p| !p.is_empty())
+                .map(str::to_string),
+            update_golden: k.get(UPDATE_GOLDEN_ENV) == Some("1"),
+            seed: k.number(SEED_ENV, parse_u64, "an unsigned integer; ignoring"),
+        };
+        (env, k.warnings)
     }
 
     /// The sweep worker count: the `CODELAYOUT_THREADS` override, or
@@ -333,35 +268,58 @@ impl RunEnv {
     }
 }
 
-/// Parses a `u64` knob, accepting decimal or `0x`-prefixed hex; a
-/// malformed value warns on stderr and falls back to unset.
-fn parse_u64_knob(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse::<u64>(),
-    };
-    match parsed {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("warning: {var}={raw} is not an unsigned integer; ignoring");
-            None
+/// Name/value pairs being parsed, plus the warnings raised so far.
+struct Knobs<'a> {
+    vars: &'a [(String, String)],
+    warnings: Vec<String>,
+}
+
+impl<'a> Knobs<'a> {
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.vars
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The option `name` selects: unset selects the first (default)
+    /// option, and an unknown value warns and selects it too.
+    fn choose<T: Copy>(&mut self, name: &str, options: &[(&str, T)]) -> T {
+        let (default_label, default) = options[0];
+        let Some(value) = self.get(name) else {
+            return default;
+        };
+        match options.iter().find(|(label, _)| *label == value) {
+            Some(&(_, v)) => v,
+            None => {
+                let labels: Vec<&str> = options.iter().map(|(label, _)| *label).collect();
+                self.warnings.push(format!(
+                    "{name}={value} is not {}; using {default_label}",
+                    labels.join("/")
+                ));
+                default
+            }
         }
+    }
+
+    /// The number `name` holds, if set; a value `parse` rejects warns
+    /// that it is not `expected` and counts as unset.
+    fn number<T>(&mut self, name: &str, parse: fn(&str) -> Option<T>, expected: &str) -> Option<T> {
+        let raw = self.get(name)?;
+        let n = parse(raw);
+        if n.is_none() {
+            self.warnings
+                .push(format!("{name}={raw} is not {expected}"));
+        }
+        n
     }
 }
 
-/// Splits a comma-separated label list, trimming whitespace and dropping
-/// empty items; an all-empty value means "use the default set".
-fn parse_series_list(v: &str) -> Option<Vec<String>> {
-    let labels: Vec<String> = v
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if labels.is_empty() {
-        None
-    } else {
-        Some(labels)
+/// Parses a `u64`, accepting decimal or `0x`-prefixed hex.
+fn parse_u64(raw: &str) -> Option<u64> {
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse::<u64>().ok(),
     }
 }
 
@@ -376,21 +334,81 @@ pub fn run_env() -> &'static RunEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    fn vars(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
 
     #[test]
     fn defaults_without_env() {
-        // The test process may carry CODELAYOUT_* from the caller; only
-        // assert the invariants that hold regardless.
-        let env = RunEnv::from_process_env();
-        assert!(env.sweep_threads() >= 1);
-        if env.threads.is_none() {
-            assert_eq!(
-                env.sweep_threads(),
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            );
+        let (env, warnings) = RunEnv::parse(&vars(&[("PATH", "/bin")]));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(env.scenario, ScenarioSel::Sim);
+        assert_eq!(env.threads, None);
+        assert_eq!(env.sweep_engine, SweepEngine::Stack);
+        assert_eq!(env.vm_engine, VmEngine::Block);
+        assert_eq!(env.profile_source, ProfileSource::Measured);
+        assert_eq!(env.trace_out, None);
+        assert!(!env.update_golden);
+        assert_eq!(env.seed, None);
+        assert_eq!(
+            env.sweep_threads(),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        );
+    }
+
+    #[test]
+    fn every_knob_parses() {
+        let (env, warnings) = RunEnv::parse(&vars(&[
+            (SCENARIO_ENV, "quick"),
+            (THREADS_ENV, "3"),
+            (SWEEP_ENGINE_ENV, "direct"),
+            (VM_ENGINE_ENV, "interp"),
+            (PROFILE_SOURCE_ENV, "static"),
+            (TRACE_OUT_ENV, "t.jsonl"),
+            (UPDATE_GOLDEN_ENV, "1"),
+            (SEED_ENV, "0xC0DE"),
+        ]));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(env.scenario, ScenarioSel::Quick);
+        assert_eq!(env.sweep_threads(), 3);
+        assert_eq!(env.sweep_engine, SweepEngine::Direct);
+        assert_eq!(env.vm_engine, VmEngine::Interp);
+        assert_eq!(env.profile_source, ProfileSource::Static);
+        assert_eq!(env.trace_out.as_deref(), Some("t.jsonl"));
+        assert!(env.update_golden);
+        assert_eq!(env.seed, Some(0xC0DE));
+    }
+
+    #[test]
+    fn unknown_names_and_bad_values_warn() {
+        let (env, warnings) = RunEnv::parse(&vars(&[
+            ("CODELAYOUT_THREAD", "2"),
+            ("CODELAYOUT_SCENAIRO", "quick"),
+            ("OTHER_VAR", "x"),
+            (SCENARIO_ENV, "huge"),
+        ]));
+        assert_eq!(env.scenario, ScenarioSel::Sim);
+        assert_eq!(env.threads, None);
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert!(warnings[0].starts_with("CODELAYOUT_THREAD "));
+        assert!(warnings[1].starts_with("CODELAYOUT_SCENAIRO "));
+        assert!(warnings[2].contains("huge"));
+        for bad in ["0", "-2", "many"] {
+            let (env, warnings) = RunEnv::parse(&vars(&[(THREADS_ENV, bad)]));
+            assert_eq!(env.threads, None);
+            assert_eq!(warnings.len(), 1, "{bad}: {warnings:?}");
+            assert!(warnings[0].starts_with(&format!("{THREADS_ENV}={bad} ")));
         }
+        let (env, warnings) = RunEnv::parse(&vars(&[(SEED_ENV, "not-a-number")]));
+        assert_eq!(env.seed, None);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
     }
 
     #[test]
@@ -410,32 +428,44 @@ mod tests {
     }
 
     #[test]
-    fn series_list_parsing() {
-        assert_eq!(
-            parse_series_list("base, exttsp,stitcher"),
-            Some(vec![
-                "base".to_string(),
-                "exttsp".to_string(),
-                "stitcher".to_string()
-            ])
-        );
-        assert_eq!(parse_series_list(""), None);
-        assert_eq!(parse_series_list(" , ,"), None);
+    fn u64_parsing() {
+        assert_eq!(parse_u64("1234"), Some(1234));
+        assert_eq!(parse_u64("0xC0DE"), Some(0xC0DE));
+        assert_eq!(parse_u64("0Xff"), Some(0xff));
+        assert_eq!(parse_u64("not-a-number"), None);
+        assert_eq!(parse_u64("-1"), None);
+    }
+
+    /// The variable names in the first `| `CODELAYOUT_…` | …` column of
+    /// the markdown table under `heading` in `text` (`//! ` doc prefixes
+    /// are stripped).
+    fn table_knobs(text: &str, heading: &str) -> BTreeSet<String> {
+        text.lines()
+            .map(|l| l.strip_prefix("//! ").unwrap_or(l))
+            .skip_while(|l| *l != heading)
+            .skip(1)
+            .take_while(|l| !l.starts_with('#'))
+            .filter_map(|l| l.strip_prefix("| `CODELAYOUT_"))
+            .map(|rest| format!("CODELAYOUT_{}", &rest[..rest.find('`').unwrap()]))
+            .collect()
     }
 
     #[test]
-    fn u64_knob_parsing() {
-        // A var name no other test (or caller) uses, so parallel tests
-        // cannot race on it.
-        let var = "CODELAYOUT_TEST_U64_KNOB_PARSING";
-        assert_eq!(parse_u64_knob(var), None);
-        std::env::set_var(var, "1234");
-        assert_eq!(parse_u64_knob(var), Some(1234));
-        std::env::set_var(var, "0xC0DE");
-        assert_eq!(parse_u64_knob(var), Some(0xC0DE));
-        std::env::set_var(var, "not-a-number");
-        assert_eq!(parse_u64_knob(var), None);
-        std::env::remove_var(var);
+    fn knob_tables_match_knobs() {
+        let knobs: BTreeSet<String> = KNOBS.iter().map(|k| k.to_string()).collect();
+        assert_eq!(knobs.len(), KNOBS.len(), "duplicate entry in KNOBS");
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).expect("read README.md");
+        assert_eq!(
+            table_knobs(&readme, "## Environment knobs"),
+            knobs,
+            "README.md \"Environment knobs\" table"
+        );
+        assert_eq!(
+            table_knobs(include_str!("env.rs"), "| Variable | Field | Meaning |"),
+            knobs,
+            "env.rs module-doc table"
+        );
     }
 
     #[test]

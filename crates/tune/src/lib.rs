@@ -131,23 +131,13 @@ impl TuneConfig {
     }
 
     /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED`,
-    /// `CODELAYOUT_TUNE_{BUDGET,CANDIDATES,WINDOW}`,
     /// `CODELAYOUT_SWEEP_ENGINE` and `CODELAYOUT_THREADS` environment
-    /// knobs applied.
+    /// knobs applied; the search budgets are fields, set in code.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::for_scenario(scenario);
         if let Some(s) = env.seed {
             cfg.seed = s;
-        }
-        if let Some(b) = env.tune_budget_ms {
-            cfg.budget_ms = b;
-        }
-        if let Some(c) = env.tune_candidates {
-            cfg.candidates = c;
-        }
-        if let Some(w) = env.tune_window {
-            cfg.window = w;
         }
         cfg.sweep_engine = env.sweep_engine;
         cfg.sweep_threads = env.sweep_threads();
