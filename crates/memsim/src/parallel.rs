@@ -419,16 +419,14 @@ impl ParallelSweep {
         }
     }
 
-    /// Clamps the pool size to the shard count and records the run's
-    /// shape in the metrics registry.
+    /// Clamps the pool size to the shard count and counts the run's
+    /// shape.
     fn record_pool(&self, jobs: usize, shards: usize) -> usize {
-        let num_workers = self.threads.min(shards.max(1));
         let m = codelayout_obs::metrics();
         m.add("sweep.runs", 1);
         m.add("sweep.jobs", jobs as u64);
         m.add("sweep.shards", shards as u64);
-        m.gauge_set("sweep.workers", num_workers as f64);
-        num_workers
+        self.threads.min(shards.max(1))
     }
 
     /// Convenience for a single job: replays and returns its cells.
@@ -464,47 +462,36 @@ impl ParallelSweep {
 /// `finish` on each worker after its last record, and hands the workers
 /// back for result collection.
 ///
-/// Workers time themselves into a private lock-free shard (queue wait =
-/// spawn-to-start latency, plus replay duration) which is merged into
-/// the global registry at join time; the per-event replay path stays
-/// untouched.
+/// Each worker adopts the caller's span path, so its `sweep_worker`
+/// span nests under the phase that asked for the replay; the per-event
+/// replay path carries no instrumentation.
 fn replay_pool<T, W, F>(source: &T, workers: Vec<W>, finish: F) -> Vec<W>
 where
     T: TraceSource + ?Sized,
     W: TraceSink + Send,
     F: Fn(&mut W) + Sync,
 {
-    let m = codelayout_obs::metrics();
-    let enqueue_ns = codelayout_obs::now_ns();
+    let parent = codelayout_obs::span_path();
     let finish = &finish;
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .into_iter()
             .map(|mut w| {
+                let parent = parent.as_deref();
                 s.spawn(move || {
+                    let _adopted = parent.map(|p| codelayout_obs::tracer().adopt(p));
                     let _worker_span = codelayout_obs::span("sweep_worker");
-                    let start_ns = codelayout_obs::now_ns();
                     source.replay_into(&mut w);
                     finish(&mut w);
-                    let mut shard = codelayout_obs::MetricsShard::new();
-                    shard.observe(
-                        "sweep.queue_wait_us",
-                        start_ns.saturating_sub(enqueue_ns) / 1_000,
-                    );
-                    shard.observe(
-                        "sweep.worker_us",
-                        codelayout_obs::now_ns().saturating_sub(start_ns) / 1_000,
-                    );
-                    shard.add("sweep.events_replayed", source.events() as u64);
-                    (w, shard)
+                    w
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| {
-                let (w, metrics_shard) = h.join().expect("sweep worker panicked");
-                m.merge_shard(&metrics_shard);
+                let w = h.join().expect("sweep worker panicked");
+                codelayout_obs::metrics().add("sweep.events_replayed", source.events() as u64);
                 w
             })
             .collect()

@@ -1,43 +1,39 @@
 //! Observability layer for the codelayout pipeline: phase tracing,
-//! sharded metrics, and machine-readable run manifests.
+//! event counters, and machine-readable run manifests.
 //!
 //! The experiment harness chains six phases — chain → split → order →
 //! link → trace → sweep — and every performance question about the
 //! pipeline ("where did the wall time go?", "how many branches were
-//! inverted?", "what replay throughput did the sweep sustain?") needs
+//! inverted?", "how many trace bytes did the runs record?") needs
 //! telemetry from inside those phases. This crate provides the three
 //! cooperating pieces the rest of the workspace instruments itself
-//! with:
+//! with. Time has one channel (spans) and counts another (counters):
 //!
 //! * **Span tracing** ([`span`], [`Tracer`], [`Span`]). RAII phase
 //!   timers with nested paths (a span opened while another is live on
 //!   the same thread becomes its child, `run_all/fig04/measure/replay`;
 //!   a worker thread nests under its caller by adopting the caller's
-//!   [`span_path`] with [`Tracer::adopt`]), monotonic timing from one process-wide epoch, and thread-tagged
-//!   begin/end events. When `CODELAYOUT_TRACE_OUT` names a file, every
-//!   span boundary is appended to it as a JSON-lines event log.
+//!   [`span_path`] with [`Tracer::adopt`]), monotonic timing from one
+//!   process-wide epoch, and thread-tagged begin/end events. When
+//!   `CODELAYOUT_TRACE_OUT` names a file, every span boundary is
+//!   appended to it as a JSON-lines event log.
 //!   Aggregated phase totals are queried as a tree
 //!   ([`Tracer::phase_tree`]) and rendered as a human `--report`
 //!   breakdown with percentages ([`Tracer::render_report`]).
-//! * **Metrics** ([`metrics`], [`Registry`], [`MetricsShard`],
-//!   [`Histogram`]). Named counters, gauges, and power-of-two-bucket
-//!   histograms. The global registry takes a lock per update, which is
-//!   fine for coarse events (images linked, layouts built) but not for
-//!   replay workers; those own a lock-free [`MetricsShard`] and merge
-//!   it into the registry once, at join time, so the replay hot loop
-//!   carries **zero** instrumentation cost per event. Snapshots render
-//!   to JSON and to Prometheus text exposition.
+//! * **Counters** ([`metrics`], [`Registry`]). Named `u64` event counts
+//!   (images linked, layouts built, trace bytes recorded), one lock per
+//!   update, for coarse events only; snapshots render to JSON.
 //! * **Run manifests** ([`manifest::ManifestBuilder`]). `run_all` and
 //!   the figure binaries write `results/<scenario>/manifest.json`:
 //!   config, `git describe`, per-phase wall times with coverage,
-//!   a metrics snapshot, and FNV-1a digests of every figure output.
+//!   the counter snapshot, and FNV-1a digests of every figure output.
 //!   Volatile fields can be masked ([`manifest::mask_volatile`]) so
 //!   golden tests can pin the schema without pinning wall-clock noise.
 //!
-//! Tracing and metrics are globally enabled by default and can be
+//! Tracing and counters are globally enabled by default and can be
 //! switched off with [`set_enabled`]; the overhead-guard test proves
-//! that replay results are bit-identical either way and that the
-//! instrumented replay loses less than 5% throughput.
+//! that replay results are bit-identical either way and that replay
+//! with spans on loses less than 5% throughput.
 //!
 //! This crate also hosts [`RunEnv`] ([`run_env`]), the single parse of
 //! every `CODELAYOUT_*` environment knob. It lives here (rather than in
@@ -53,7 +49,7 @@ pub mod metrics;
 pub mod span;
 
 pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, SweepEngine, VmEngine};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsShard, MetricsSnapshot, Registry};
+pub use metrics::{MetricsSnapshot, Registry};
 pub use span::{span_path, Adopted, PhaseNode, PhaseStat, Span, Tracer};
 
 use std::sync::OnceLock;
@@ -82,7 +78,7 @@ pub fn tracer() -> &'static Tracer {
     })
 }
 
-/// The process-global metrics registry.
+/// The process-global counter registry.
 pub fn metrics() -> &'static Registry {
     METRICS.get_or_init(Registry::new)
 }
@@ -93,9 +89,9 @@ pub fn span(name: &str) -> Span<'static> {
     tracer().span(name)
 }
 
-/// Enables or disables both global tracing and global metrics. Disabled
-/// observability records nothing: spans become inert and metric updates
-/// are dropped at the enabled-flag check.
+/// Enables or disables both global tracing and global counters.
+/// Disabled observability records nothing: spans become inert and
+/// counter updates are dropped at the enabled-flag check.
 pub fn set_enabled(on: bool) {
     tracer().set_enabled(on);
     metrics().set_enabled(on);
@@ -106,7 +102,7 @@ pub fn enabled() -> bool {
     tracer().is_enabled()
 }
 
-/// Clears all recorded phases and metrics (the enabled flag and the
+/// Clears all recorded phases and counters (the enabled flag and the
 /// event-log exporter are kept). Intended for tests that snapshot
 /// global state.
 pub fn reset() {

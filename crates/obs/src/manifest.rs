@@ -4,7 +4,7 @@
 //! `results/<scenario>/manifest.json`: which tool ran, against which
 //! config and git revision, where the wall time went (the tracer's
 //! phase tree, with a coverage figure proving the phases account for
-//! the run), a full metrics snapshot, and an FNV-1a digest of every
+//! the run), the counter snapshot, and an FNV-1a digest of every
 //! output file it produced. A later run — or CI — can diff two
 //! manifests and see at a glance whether a figure drifted, a phase got
 //! slower, or a lint count regressed.
@@ -14,7 +14,7 @@
 //! ```text
 //! {
 //!   "tool": "run_all",            // binary that wrote the manifest
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "scenario": "quick",
 //!   "git": "4668bbd",             // git describe --always --dirty
 //!   "created_unix_ms": 1754380800000,
@@ -23,7 +23,7 @@
 //!   "total_wall_ns": 2134000000,  // the root phase's wall time
 //!   "phase_coverage_pct": 99.2,   // children / root, must stay ≥ 95
 //!   "phases": [ {"name","wall_ns","pct","count","children"} ... ],
-//!   "metrics": { "counters": {...}, "gauges": {...}, "histograms": {...} },
+//!   "metrics": { "counters": {...} },
 //!   "outputs": { "fig04.json": "fnv1a64:..." },
 //!   "lint": { ... },              // optional, merged by layout_lint
 //!   "serve": { ... }              // optional, the serving loop's epoch
@@ -31,7 +31,7 @@
 //! }
 //! ```
 //!
-//! Volatile fields (times, git, digests, metric values) are masked by
+//! Volatile fields (times, git, digests, counter values) are masked by
 //! [`mask_volatile`] so the golden schema test pins structure and
 //! names without pinning wall-clock noise.
 
@@ -41,9 +41,10 @@ use serde_json::{json, Map, Value};
 use std::path::{Path, PathBuf};
 
 /// Current manifest schema version. Version 2 added the optional
-/// `serve` section (the serving loop's epoch records), the `p95`
-/// histogram quantile, and the `swap_wall_ns` volatile key.
-pub const SCHEMA_VERSION: u64 = 2;
+/// `serve` section (the serving loop's epoch records) and the
+/// `swap_wall_ns` volatile key; version 3 cut `metrics` down to
+/// `counters` (time is reported by the phase tree alone).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -127,8 +128,8 @@ impl ManifestBuilder {
     /// Fills the phase sections from a tracer's completed spans. `root`
     /// names the phase whose wall time is the run total (the binary's
     /// outermost span); coverage is that root's direct-children
-    /// coverage. All recorded roots (e.g. worker-thread spans) are
-    /// included in `phases`.
+    /// coverage. All recorded roots (e.g. spans of a thread that did
+    /// not adopt its caller's path) are included in `phases`.
     pub fn phases(&mut self, tracer: &Tracer, root: &str) -> &mut Self {
         let tree = tracer.phase_tree();
         let (total_ns, coverage) = tree
@@ -147,7 +148,7 @@ impl ManifestBuilder {
         self
     }
 
-    /// Fills the metrics section from a registry snapshot.
+    /// Fills the metrics section from a counter registry snapshot.
     pub fn metrics(&mut self, registry: &Registry) -> &mut Self {
         self.map
             .insert("metrics".into(), registry.snapshot().to_json());
@@ -243,8 +244,7 @@ pub fn merge_section(
 
 /// Checks that a manifest value has the documented schema: required
 /// keys, right JSON types, phases shaped as `{name, wall_ns, pct,
-/// count, children}` trees, and metrics split into
-/// counters/gauges/histograms.
+/// count, children}` trees, and a `metrics.counters` object.
 ///
 /// # Errors
 /// Returns a human-readable description of the first violation.
@@ -282,10 +282,8 @@ pub fn validate_manifest(v: &Value) -> Result<(), String> {
         .get("metrics")
         .as_object()
         .ok_or("missing or non-object `metrics`")?;
-    for key in ["counters", "gauges", "histograms"] {
-        if metrics.get(key).and_then(Value::as_object).is_none() {
-            return Err(format!("metrics section missing object `{key}`"));
-        }
+    if metrics.get("counters").and_then(Value::as_object).is_none() {
+        return Err("metrics section missing object `counters`".into());
     }
     for (name, digest) in v.get("outputs").as_object().expect("checked above").iter() {
         if digest.as_str().is_none() {
@@ -342,10 +340,9 @@ pub const VOLATILE_KEYS: [&str; 14] = [
 ];
 
 /// Returns a copy of a manifest with volatile values masked: values of
-/// [`VOLATILE_KEYS`] anywhere, every value inside `metrics` (metric
+/// [`VOLATILE_KEYS`] anywhere, every value inside `metrics` (counter
 /// *names* stay), and every digest inside `outputs`. Masked numbers
-/// become `0`, strings `"<masked>"`, and arrays `[]` (histogram bucket
-/// lists vary in length with timing, so only their presence is pinned).
+/// become `0`, strings `"<masked>"`, and arrays `[]`.
 /// The result is deterministic across machines and runs, so golden
 /// tests can pin it.
 pub fn mask_volatile(v: &Value) -> Value {
@@ -423,8 +420,6 @@ mod tests {
         }
         let registry = Registry::new();
         registry.add("link.fallthroughs", 7);
-        registry.observe("sweep.wait_us", 12);
-        registry.gauge_set("replay.rate", 2.5);
         let mut b = ManifestBuilder::new("tool", "quick");
         b.config(json!({"num_cpus": 4u64}));
         b.phases(&tracer, "tool");

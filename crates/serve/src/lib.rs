@@ -29,9 +29,9 @@
 //!    and the swap takes effect at the next epoch boundary (which is a
 //!    transaction boundary by construction).
 //! 4. **Observe**: every epoch emits a JSONL record through the span
-//!    tracer (`ev:"O"`, path `serve/epoch`), updates `serve.*` metrics
-//!    (drift gauge, swap-latency histogram, epoch counters), and appends
-//!    an [`EpochRecord`] to the final [`ServeReport`].
+//!    tracer (`ev:"O"`, path `serve/epoch`), bumps the `serve.*`
+//!    counters, and appends an [`EpochRecord`] (drift, misses, swap
+//!    latency) to the final [`ServeReport`].
 //!
 //! Because the VM's program counters are layout-dependent, the swap is a
 //! drain-and-restart: the epoch boundary drains every server process,
@@ -487,16 +487,26 @@ fn run_window<H: ExecHook>(
     );
     run_span.finish();
 
+    let snapshot_span = codelayout_obs::span("window_snapshot");
     let shared = m.shared_mem().to_vec();
+    snapshot_span.finish();
+    let freeze_span = codelayout_obs::span("window_freeze");
     let frozen = trace.freeze();
+    freeze_span.finish();
     let cells = ParallelSweep::new(cfg.sweep_threads)
         .with_engine(cfg.sweep_engine)
         .run_one(&frozen, &window_spec(study));
     let cell = cells.first().expect("window spec yields one cell");
+    let (misses, fetches) = (cell.stats.misses, cell.stats.accesses);
+    // Freeing the machine and the window's trace is not free at sim
+    // scale; time it rather than leave it to the caller's span.
+    let teardown_span = codelayout_obs::span("window_teardown");
+    drop((m, frozen));
+    teardown_span.finish();
     WindowRun {
         report,
-        misses: cell.stats.misses,
-        fetches: cell.stats.accesses,
+        misses,
+        fetches,
         shared,
     }
 }
@@ -518,7 +528,11 @@ fn build_validated_image(
             return None;
         }
     };
-    match validate_translation(&study.app.program, &layout, &image) {
+    let verdict = {
+        let _span = codelayout_obs::span("validate");
+        validate_translation(&study.app.program, &layout, &image)
+    };
+    match verdict {
         Ok(_) => Some(Arc::new(image)),
         Err(e) => {
             codelayout_obs::metrics().add("serve.validation_rejects", 1);
@@ -632,7 +646,6 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
                 None => validated = false,
             }
             swap_wall_ns = swap_start.elapsed().as_nanos() as u64;
-            met.observe("serve.swap_ns", swap_wall_ns);
         }
 
         let record = EpochRecord {
@@ -655,8 +668,6 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
         met.add("serve.epochs", 1);
         met.add("serve.sample_events", events);
         met.add("serve.samples", samples);
-        met.gauge_set("serve.drift_milli", drift_milli as f64);
-        met.observe("serve.epoch_misses", window.misses);
         if swapped {
             met.add("serve.swaps", 1);
         }
@@ -717,7 +728,6 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
         window_fetches: stale.fetches,
         recovery_milli: recovery_milli(stale.misses, served.misses, oracle.misses),
     };
-    met.gauge_set("serve.recovery_milli", recovery.recovery_milli as f64);
 
     ServeReport {
         config: cfg.clone(),
