@@ -187,12 +187,10 @@ fn vm_engine_bench(study: &Study) {
         block_out.assert_correct();
         let interp_trace = interp_buf.freeze();
         let block_trace = block_buf.freeze();
-        let digest = interp_trace.digest();
         assert_eq!(
             interp_trace, block_trace,
             "block engine trace diverged from the interpreter on layout {name}"
         );
-        assert_eq!(digest, block_trace.digest());
         assert_eq!(interp_out.report, block_out.report, "reports diverged");
         assert_eq!(
             interp_out.per_process_txns, block_out.per_process_txns,
@@ -252,7 +250,6 @@ fn vm_engine_bench(study: &Study) {
             serde_json::json!({
                 "instructions": instructions,
                 "trace_events": events as u64,
-                "trace_digest": digest,
                 "interp_secs": interp_best,
                 "block_secs": block_best,
                 "interp_minsts_per_sec": instructions as f64 / interp_best / 1e6,

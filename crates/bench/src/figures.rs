@@ -1,7 +1,7 @@
 //! Per-figure experiment logic. Each function prints the figure's series
 //! as a table and returns a JSON record (saved by the caller).
 
-use crate::{pct, print_table, run_env, Harness, LINES_B, SIZES_KB};
+use crate::{pct, print_table, Harness, LINES_B, SIZES_KB};
 use codelayout_core::{exttsp_score, LayoutSeries};
 use codelayout_memsim::SweepCell;
 use codelayout_serve::{run_serve, ServeConfig};
@@ -600,7 +600,7 @@ pub fn compare(h: &mut Harness) -> Value {
             )
         };
         let layout = h.study.layout_series(series);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
+        let score = exttsp_score(&h.study.app.program, &h.study.profile, &layout);
         scores.push((series, score));
         let lints = crate::lint::lint_series_cells(&h.study, series);
         let (deny, warn, info) = (
@@ -679,41 +679,34 @@ pub fn compare(h: &mut Harness) -> Value {
 /// the static-profile `all` layout must beat the `base` layout's
 /// 128 KB miss count on the scenario.
 pub fn fig_static(h: &mut Harness) -> Value {
-    let env_src = run_env().profile_source;
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut base_m128 = 0u64;
     let mut static_all_m128 = u64::MAX;
     for series in codelayout_core::LayoutSeries::lint_matrix() {
         let label = series.label();
-        // Plain labels honor the environment knob, so whichever source
-        // the env selects shares its measurement cache with the other
-        // figures; the opposite source is pinned with an explicit
-        // prefix.
-        let (m_name, s_name) = match env_src {
-            codelayout_obs::ProfileSource::Measured => {
-                (label.to_string(), format!("static:{label}"))
-            }
-            codelayout_obs::ProfileSource::Static => {
-                (format!("measured:{label}"), label.to_string())
-            }
-        };
+        // Measured layouts share their measurement cache with the other
+        // figures; static ones are named with the `static:` prefix.
         let is_base = series == LayoutSeries::Paper(codelayout_core::OptimizationSet::BASE);
-        let s_name = if is_base { m_name.clone() } else { s_name };
+        let s_name = if is_base {
+            label.to_string()
+        } else {
+            format!("static:{label}")
+        };
         let (m_misses, user_fetches) = {
-            let d = h.run(&m_name);
+            let d = h.run(label);
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
         let s_misses = misses_by_size(&h.run(&s_name).sizes_4w_user);
-        let score_of = |source| {
-            let layout = h.study.layout_series_with(series, source);
+        let score_of = |profile| {
+            let layout = h.study.layout_series_with(series, profile);
             exttsp_score(&h.study.app.program, &h.study.profile, &layout)
         };
-        let m_score = score_of(codelayout_obs::ProfileSource::Measured);
+        let m_score = score_of(&h.study.profile);
         let s_score = if is_base {
             m_score
         } else {
-            score_of(codelayout_obs::ProfileSource::Static)
+            score_of(&h.study.static_profile)
         };
         let (m64, m128) = (m_misses[1].1, m_misses[2].1);
         let (s64, s128) = (s_misses[1].1, s_misses[2].1);
@@ -996,7 +989,7 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
         let layout = h.study.layout_series(series);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
+        let score = exttsp_score(&h.study.app.program, &h.study.profile, &layout);
         rows.push(vec![
             label.to_string(),
             "fixed".to_string(),
@@ -1024,7 +1017,7 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
             (misses_by_size(&d.sizes_4w_user), d.user_fetches)
         };
         let layout = h.study.layout_series_params(f.series, &f.best_params);
-        let score = exttsp_score(&h.study.app.program, h.study.active_profile(), &layout);
+        let score = exttsp_score(&h.study.app.program, &h.study.profile, &layout);
         let space = codelayout_core::ParamSpace::for_series(f.series);
         rows.push(vec![
             name.clone(),
@@ -1059,16 +1052,11 @@ pub fn fig_tune(h: &mut Harness, cfg: &TuneConfig) -> Value {
         &rows,
     );
     println!(
-        "tune: {} candidates over {} families in {} ms (window {} events{})",
+        "tune: {} candidates over {} families in {} ms (window {} events)",
         report.trajectory.len(),
         report.families.len(),
         report.wall_ms,
         report.window_events,
-        if report.budget_hit {
-            ", wall budget hit"
-        } else {
-            ""
-        }
     );
 
     // The headline claim: some tuned layout strictly beats every fixed

@@ -18,14 +18,12 @@
 //! and the 128-byte 4-way size sweeps for user/kernel/combined streams
 //! (Figs. 6, 7, 12, 13) — replay through a [`ParallelSweep`]. Every grid
 //! is named by a [`codelayout_memsim::SweepSpec`]; the replay engine is
-//! the single-pass stack-distance profiler by default (one Mattson stack
-//! per line size answers every size × associativity at once), with the
-//! direct per-configuration simulator kept as the equivalence oracle —
-//! both selected by `CODELAYOUT_SWEEP_ENGINE` and bit-identical by
-//! construction. The worker count honors `CODELAYOUT_THREADS`. The
-//! first fully-instrumented layout also replays the identical jobs on
-//! the *other* engine at the same thread count, asserting equality and
-//! timing both, so `run_all` can report the measured engine speedup
+//! the single-pass stack-distance profiler (one Mattson stack per line
+//! size answers every size × associativity at once). The worker count
+//! honors `CODELAYOUT_THREADS`. The first fully-instrumented layout also
+//! replays the identical jobs on the direct per-configuration engine,
+//! the equivalence oracle, at the same thread count, asserting equality
+//! and timing both, so `run_all` can report the measured engine speedup
 //! (see [`Harness::sweep_timing`]). The other analyses — three memory
 //! hierarchies (Fig. 14, Fig. 15 timing), the sequence profiler
 //! (Fig. 8), the locality cache (Figs. 9–11) and the footprint counter
@@ -285,10 +283,9 @@ impl Harness {
     /// The image for any layout-series label ([`LayoutSeries::parse`]):
     /// the paper's six, `hotcold`, `cfa` (with
     /// [`codelayout_core::CFA_RESERVED_BYTES`] reserved), `exttsp`, or
-    /// `stitcher`. A `measured:` or `static:` prefix pins the profile
-    /// source explicitly (plain labels honor
-    /// `CODELAYOUT_PROFILE_SOURCE`); `fig_static` uses the prefixes to
-    /// compare both sources side by side in one process. A `tuned:`
+    /// `stitcher`, built from the measured profile. A `static:` prefix
+    /// builds from the static estimate instead, which `fig_static`
+    /// measures side by side with the measured layouts. A `tuned:`
     /// prefix builds the series with the parameters registered via
     /// [`Harness::set_tuned`] (as `fig_tune` does for the autotuner's
     /// winners). Debug builds run translation validation on every linked
@@ -301,18 +298,12 @@ impl Harness {
             });
             return self.study.image_series_params(series, params);
         }
-        let (label, source) = if let Some(rest) = name.strip_prefix("measured:") {
-            (rest, Some(codelayout_obs::ProfileSource::Measured))
-        } else if let Some(rest) = name.strip_prefix("static:") {
-            (rest, Some(codelayout_obs::ProfileSource::Static))
-        } else {
-            (name, None)
+        let (label, profile) = match name.strip_prefix("static:") {
+            Some(rest) => (rest, &self.study.static_profile),
+            None => (name, &self.study.profile),
         };
         let series = LayoutSeries::parse(label).unwrap_or_else(|e| panic!("{name}: {e}"));
-        match source {
-            Some(src) => self.study.image_series_with(series, src),
-            None => self.study.image_series(series),
-        }
+        self.study.image_series_with(series, profile)
     }
 
     /// Runs (or returns the cached) measurement for a layout. `base` and
@@ -383,28 +374,20 @@ impl Harness {
         // the run manifest show for the same work.
         let replay_span = codelayout_obs::span("replay");
         let grids = self.sweeper.run(&trace, &jobs);
-        let primary_secs = replay_span.finish().as_secs_f64();
+        let stack_secs = replay_span.finish().as_secs_f64();
         if full && self.sweep_timing.is_none() {
             // Once per evaluation: replay the identical jobs on the
-            // *other* engine at the same thread count — a standing
+            // direct engine at the same thread count — a standing
             // cross-engine equivalence check and the speedup baseline.
-            let other_engine = match self.sweeper.engine() {
-                SweepEngine::Stack => SweepEngine::Direct,
-                SweepEngine::Direct => SweepEngine::Stack,
-            };
-            let other_span = codelayout_obs::span("oracle_replay");
-            let other = ParallelSweep::new(self.sweeper.threads())
-                .with_engine(other_engine)
+            let oracle_span = codelayout_obs::span("oracle_replay");
+            let direct = ParallelSweep::new(self.sweeper.threads())
+                .with_engine(SweepEngine::Direct)
                 .run(&trace, &jobs);
-            let other_secs = other_span.finish().as_secs_f64();
+            let direct_secs = oracle_span.finish().as_secs_f64();
             assert_eq!(
-                other, grids,
+                direct, grids,
                 "stack-distance sweep diverged from the direct engine"
             );
-            let (stack_secs, direct_secs) = match self.sweeper.engine() {
-                SweepEngine::Stack => (primary_secs, other_secs),
-                SweepEngine::Direct => (other_secs, primary_secs),
-            };
             let timing = SweepTiming {
                 threads: self.sweeper.threads(),
                 events: user_fetches + kernel_fetches,
@@ -547,7 +530,6 @@ impl Harness {
             "measure_txns": sc.measure_txns,
             "seed": sc.seed,
             "sweep_threads": self.sweeper.threads() as u64,
-            "sweep_engine": self.sweeper.engine().label(),
             "vm_engine": self.study.machine_config().engine.label(),
         })
     }

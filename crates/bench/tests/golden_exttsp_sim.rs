@@ -31,7 +31,6 @@
 
 use codelayout_core::{exttsp_layout_with, LayoutSeries, ParamPoint, ParamSpace};
 use codelayout_ir::Layout;
-use codelayout_obs::ProfileSource;
 use codelayout_oltp::{build_study, Scenario};
 use serde_json::{json, Value};
 
@@ -40,14 +39,12 @@ const UPDATE_ENV: &str = codelayout_obs::env::UPDATE_GOLDEN_ENV;
 
 /// FNV-1a over the layout's block ids (little-endian `u32`s).
 fn digest(layout: &Layout) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in &layout.order {
-        for byte in b.0.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
+    let bytes: Vec<u8> = layout
+        .order
+        .iter()
+        .flat_map(|b| b.0.to_le_bytes())
+        .collect();
+    format!("{:016x}", codelayout_obs::manifest::fnv1a64(&bytes))
 }
 
 /// The default point followed by every single-knob move away from it.
@@ -73,11 +70,10 @@ fn exttsp_sim_layouts_match_golden_digests() {
     let study = build_study(&scenario);
     let space = ParamSpace::for_series(LayoutSeries::ExtTsp);
     let mut layouts = serde_json::Map::new();
-    for (label, source) in [
-        ("measured", ProfileSource::Measured),
-        ("static", ProfileSource::Static),
+    for (label, profile) in [
+        ("measured", &study.profile),
+        ("static", &study.static_profile),
     ] {
-        let profile = study.profile_for(source);
         for point in single_knob_points(&space) {
             let params = space.params(&point);
             let layout = exttsp_layout_with(&study.app.program, profile, &params);

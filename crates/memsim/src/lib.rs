@@ -48,14 +48,14 @@ mod spec;
 mod stack;
 mod sweep;
 
-pub use codelayout_obs::{run_env, RunEnv, SweepEngine};
+pub use codelayout_obs::{run_env, RunEnv};
 pub use config::{CacheConfig, StreamFilter};
 pub use footprint::FootprintCounter;
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use icache::{AccessClass, CacheStats, ICacheSim};
 pub use itlb::Itlb;
 pub use locality::{LocalityCache, LocalityStats};
-pub use parallel::ParallelSweep;
+pub use parallel::{ParallelSweep, SweepEngine};
 pub use sequence::{SequenceProfiler, SequenceStats};
 pub use spec::{SweepSpec, LINES_B, SIZES_KB};
 pub use stack::StackDistanceSim;

@@ -13,8 +13,8 @@
 //! statistics are merged into per-configuration cells only at join
 //! time.
 //!
-//! Two engines implement the same contract ([`SweepEngine`], default
-//! taken from `CODELAYOUT_SWEEP_ENGINE`):
+//! Two engines implement the same contract ([`SweepEngine`]; stack by
+//! default, direct where a caller asks for the oracle):
 //!
 //! * **Stack** — one [`StackDistanceSim`] per (job, line size, CPU).
 //!   A single pass over the shard's stream yields exact misses for
@@ -49,7 +49,6 @@ use crate::icache::{AccessClass, CacheStats, ICacheSim};
 use crate::spec::SweepSpec;
 use crate::stack::StackDistanceSim;
 use crate::sweep::SweepCell;
-use codelayout_obs::SweepEngine;
 use codelayout_vm::{FetchRecord, FrozenTrace, TeeSink, TraceSink, TraceSource};
 
 /// One direct-engine unit: a (configuration, CPU) simulator.
@@ -206,6 +205,18 @@ impl StackWorker {
     }
 }
 
+/// The grid-replay engine a [`ParallelSweep`] runs (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SweepEngine {
+    /// One set-associative LRU simulator per (configuration, CPU): the
+    /// equivalence oracle.
+    Direct,
+    /// One stack-distance profiler per (line size, CPU) (default).
+    #[default]
+    Stack,
+}
+
 /// Replays a [`FrozenTrace`] through one or more [`SweepSpec`] jobs on
 /// a pool of scoped threads.
 ///
@@ -248,12 +259,10 @@ impl ParallelSweep {
         }
     }
 
-    /// Thread count and engine from the process environment
-    /// (`CODELAYOUT_THREADS`, `CODELAYOUT_SWEEP_ENGINE` — see
-    /// [`codelayout_obs::RunEnv`]).
+    /// A stack-engine sweep runner with the process's worker count
+    /// (`CODELAYOUT_THREADS` — see [`codelayout_obs::RunEnv`]).
     pub fn from_env() -> Self {
-        let env = codelayout_obs::run_env();
-        ParallelSweep::new(env.sweep_threads()).with_engine(env.sweep_engine)
+        ParallelSweep::new(codelayout_obs::run_env().sweep_threads())
     }
 
     /// Selects the replay engine.
@@ -549,8 +558,8 @@ mod tests {
                 assert_eq!(
                     got[0],
                     expected,
-                    "threads = {threads}, engine = {}",
-                    sweep.engine().label()
+                    "threads = {threads}, engine = {:?}",
+                    sweep.engine()
                 );
             }
         }

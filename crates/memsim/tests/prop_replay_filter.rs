@@ -100,8 +100,8 @@ proptest! {
                 prop_assert_eq!(
                     sweep.run_from(&source, &jobs),
                     sweep.run(&frozen, &jobs),
-                    "{} engine, {} threads",
-                    engine.label(),
+                    "{:?} engine, {} threads",
+                    engine,
                     threads
                 );
             }

@@ -14,16 +14,19 @@
 //! |---|---|---|
 //! | `CODELAYOUT_SCENARIO` | [`RunEnv::scenario`] | workload scale: `quick` / `sim` / `hw` (default `sim`) |
 //! | `CODELAYOUT_THREADS` | [`RunEnv::threads`] | sweep worker count (default: available parallelism) |
-//! | `CODELAYOUT_SWEEP_ENGINE` | [`RunEnv::sweep_engine`] | `stack` (default) or `direct` grid-replay engine |
 //! | `CODELAYOUT_VM_ENGINE` | [`RunEnv::vm_engine`] | `block` (default) or `interp` VM execution tier |
-//! | `CODELAYOUT_PROFILE_SOURCE` | [`RunEnv::profile_source`] | `measured` (default) or `static` profile feeding the layout passes |
 //! | `CODELAYOUT_TRACE_OUT` | [`RunEnv::trace_out`] | JSON-lines span event log file |
 //! | `CODELAYOUT_UPDATE_GOLDEN` | [`RunEnv::update_golden`] | `1` = rewrite golden snapshots instead of asserting |
 //! | `CODELAYOUT_SEED` | [`RunEnv::seed`] | scenario master-seed override (decimal or `0x` hex) |
 //!
-//! [`KNOBS`] lists the same eight names. A test keeps this table and
+//! [`KNOBS`] lists the same six names. A test keeps this table and
 //! the README's "Environment knobs" table equal to it, and any other
 //! `CODELAYOUT_*` variable in the environment draws a warning.
+//!
+//! The grid-replay engine (`codelayout_memsim::SweepEngine`) and the
+//! profile feeding the layout passes are chosen in code, not here: the
+//! direct engine and the static profile estimate are oracles and side
+//! studies that callers name explicitly.
 
 use std::sync::OnceLock;
 
@@ -31,14 +34,8 @@ use std::sync::OnceLock;
 pub const SCENARIO_ENV: &str = "CODELAYOUT_SCENARIO";
 /// Environment variable overriding the sweep worker-thread count.
 pub const THREADS_ENV: &str = "CODELAYOUT_THREADS";
-/// Environment variable selecting the grid-replay engine.
-pub const SWEEP_ENGINE_ENV: &str = "CODELAYOUT_SWEEP_ENGINE";
 /// Environment variable selecting the VM execution tier.
 pub const VM_ENGINE_ENV: &str = "CODELAYOUT_VM_ENGINE";
-/// Environment variable selecting the profile source feeding the layout
-/// passes: `measured` execution counts or the `static` Ball–Larus-style
-/// estimate (`codelayout-analysis` owns the estimator).
-pub const PROFILE_SOURCE_ENV: &str = "CODELAYOUT_PROFILE_SOURCE";
 /// Environment variable naming the JSON-lines span event log file.
 pub const TRACE_OUT_ENV: &str = "CODELAYOUT_TRACE_OUT";
 /// Environment variable switching golden tests into rewrite mode.
@@ -50,12 +47,10 @@ pub const UPDATE_GOLDEN_ENV: &str = "CODELAYOUT_UPDATE_GOLDEN";
 pub const SEED_ENV: &str = "CODELAYOUT_SEED";
 
 /// Every knob [`RunEnv`] reads, in table order.
-pub const KNOBS: [&str; 8] = [
+pub const KNOBS: [&str; 6] = [
     SCENARIO_ENV,
     THREADS_ENV,
-    SWEEP_ENGINE_ENV,
     VM_ENGINE_ENV,
-    PROFILE_SOURCE_ENV,
     TRACE_OUT_ENV,
     UPDATE_GOLDEN_ENV,
     SEED_ENV,
@@ -83,39 +78,13 @@ impl ScenarioSel {
     }
 }
 
-/// Grid-replay engine selected by `CODELAYOUT_SWEEP_ENGINE`.
-///
-/// `Stack` is the single-pass Mattson stack-distance engine (one
-/// profiler per line size yields every configuration's exact miss
-/// counts); `Direct` instantiates one LRU simulator per configuration
-/// and survives as the equivalence oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// One set-associative LRU simulator per (configuration, CPU).
-    Direct,
-    /// One stack-distance profiler per (line size, CPU) (default).
-    #[default]
-    Stack,
-}
-
-impl SweepEngine {
-    /// Stable lowercase name (`"direct"` / `"stack"`), as accepted by
-    /// `CODELAYOUT_SWEEP_ENGINE` and recorded in run manifests.
-    pub fn label(self) -> &'static str {
-        match self {
-            SweepEngine::Direct => "direct",
-            SweepEngine::Stack => "stack",
-        }
-    }
-}
-
 /// VM execution tier selected by `CODELAYOUT_VM_ENGINE`.
 ///
 /// `Block` pre-compiles each basic block of a linked image into a flat
 /// superinstruction form and executes whole blocks at a time; `Interp`
 /// is the deliberately-plain one-instruction-at-a-time decoder that
-/// survives as the equivalence oracle (the same discipline as
-/// [`SweepEngine::Direct`]).
+/// survives as the equivalence oracle (the same discipline as the
+/// direct sweep engine in `codelayout-memsim`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VmEngine {
     /// Decode-dispatch interpreter; the oracle.
@@ -136,32 +105,6 @@ impl VmEngine {
     }
 }
 
-/// Profile source selected by `CODELAYOUT_PROFILE_SOURCE`.
-///
-/// `Measured` feeds the layout passes the execution profile collected by
-/// the instrumented profiling run (the paper's Pixie/DCPI path);
-/// `Static` feeds them the purely static Ball–Larus-style estimate, so
-/// every layout series runs without any profiling run at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ProfileSource {
-    /// Instrumented execution counts (default).
-    #[default]
-    Measured,
-    /// Static branch-heuristic frequency estimates.
-    Static,
-}
-
-impl ProfileSource {
-    /// Stable lowercase name (`"measured"` / `"static"`), as accepted by
-    /// `CODELAYOUT_PROFILE_SOURCE` and recorded in run manifests.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProfileSource::Measured => "measured",
-            ProfileSource::Static => "static",
-        }
-    }
-}
-
 /// Every `CODELAYOUT_*` knob, parsed once per process.
 #[derive(Debug, Clone)]
 pub struct RunEnv {
@@ -170,15 +113,9 @@ pub struct RunEnv {
     /// Sweep worker-thread override (`CODELAYOUT_THREADS`); `None`
     /// falls back to the host's available parallelism.
     pub threads: Option<usize>,
-    /// Grid-replay engine (`CODELAYOUT_SWEEP_ENGINE`), default
-    /// [`SweepEngine::Stack`].
-    pub sweep_engine: SweepEngine,
     /// VM execution tier (`CODELAYOUT_VM_ENGINE`), default
     /// [`VmEngine::Block`].
     pub vm_engine: VmEngine,
-    /// Profile source feeding the layout passes
-    /// (`CODELAYOUT_PROFILE_SOURCE`), default [`ProfileSource::Measured`].
-    pub profile_source: ProfileSource,
     /// Span event-log file (`CODELAYOUT_TRACE_OUT`), if any.
     pub trace_out: Option<String>,
     /// True when golden tests should rewrite their snapshots
@@ -229,23 +166,9 @@ impl RunEnv {
                 |raw| raw.parse::<usize>().ok().filter(|&n| n > 0),
                 "a positive integer; using available parallelism",
             ),
-            sweep_engine: k.choose(
-                SWEEP_ENGINE_ENV,
-                &[
-                    ("stack", SweepEngine::Stack),
-                    ("direct", SweepEngine::Direct),
-                ],
-            ),
             vm_engine: k.choose(
                 VM_ENGINE_ENV,
                 &[("block", VmEngine::Block), ("interp", VmEngine::Interp)],
-            ),
-            profile_source: k.choose(
-                PROFILE_SOURCE_ENV,
-                &[
-                    ("measured", ProfileSource::Measured),
-                    ("static", ProfileSource::Static),
-                ],
             ),
             trace_out: k
                 .get(TRACE_OUT_ENV)
@@ -349,9 +272,7 @@ mod tests {
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(env.scenario, ScenarioSel::Sim);
         assert_eq!(env.threads, None);
-        assert_eq!(env.sweep_engine, SweepEngine::Stack);
         assert_eq!(env.vm_engine, VmEngine::Block);
-        assert_eq!(env.profile_source, ProfileSource::Measured);
         assert_eq!(env.trace_out, None);
         assert!(!env.update_golden);
         assert_eq!(env.seed, None);
@@ -368,9 +289,7 @@ mod tests {
         let (env, warnings) = RunEnv::parse(&vars(&[
             (SCENARIO_ENV, "quick"),
             (THREADS_ENV, "3"),
-            (SWEEP_ENGINE_ENV, "direct"),
             (VM_ENGINE_ENV, "interp"),
-            (PROFILE_SOURCE_ENV, "static"),
             (TRACE_OUT_ENV, "t.jsonl"),
             (UPDATE_GOLDEN_ENV, "1"),
             (SEED_ENV, "0xC0DE"),
@@ -378,9 +297,7 @@ mod tests {
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(env.scenario, ScenarioSel::Quick);
         assert_eq!(env.sweep_threads(), 3);
-        assert_eq!(env.sweep_engine, SweepEngine::Direct);
         assert_eq!(env.vm_engine, VmEngine::Interp);
-        assert_eq!(env.profile_source, ProfileSource::Static);
         assert_eq!(env.trace_out.as_deref(), Some("t.jsonl"));
         assert!(env.update_golden);
         assert_eq!(env.seed, Some(0xC0DE));
@@ -393,13 +310,18 @@ mod tests {
             ("CODELAYOUT_SCENAIRO", "quick"),
             ("OTHER_VAR", "x"),
             (SCENARIO_ENV, "huge"),
+            // Deleted knobs: the choices they made are made in code.
+            ("CODELAYOUT_SWEEP_ENGINE", "direct"),
+            ("CODELAYOUT_PROFILE_SOURCE", "static"),
         ]));
         assert_eq!(env.scenario, ScenarioSel::Sim);
         assert_eq!(env.threads, None);
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert_eq!(warnings.len(), 5, "{warnings:?}");
         assert!(warnings[0].starts_with("CODELAYOUT_THREAD "));
         assert!(warnings[1].starts_with("CODELAYOUT_SCENAIRO "));
-        assert!(warnings[2].contains("huge"));
+        assert!(warnings[2].starts_with("CODELAYOUT_SWEEP_ENGINE "));
+        assert!(warnings[3].starts_with("CODELAYOUT_PROFILE_SOURCE "));
+        assert!(warnings[4].contains("huge"));
         for bad in ["0", "-2", "many"] {
             let (env, warnings) = RunEnv::parse(&vars(&[(THREADS_ENV, bad)]));
             assert_eq!(env.threads, None);
@@ -416,15 +338,9 @@ mod tests {
         assert_eq!(ScenarioSel::Quick.label(), "quick");
         assert_eq!(ScenarioSel::Sim.label(), "sim");
         assert_eq!(ScenarioSel::Hw.label(), "hw");
-        assert_eq!(SweepEngine::Stack.label(), "stack");
-        assert_eq!(SweepEngine::Direct.label(), "direct");
-        assert_eq!(SweepEngine::default(), SweepEngine::Stack);
         assert_eq!(VmEngine::Interp.label(), "interp");
         assert_eq!(VmEngine::Block.label(), "block");
         assert_eq!(VmEngine::default(), VmEngine::Block);
-        assert_eq!(ProfileSource::Measured.label(), "measured");
-        assert_eq!(ProfileSource::Static.label(), "static");
-        assert_eq!(ProfileSource::default(), ProfileSource::Measured);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod span;
 
-pub use env::{run_env, ProfileSource, RunEnv, ScenarioSel, SweepEngine, VmEngine};
+pub use env::{run_env, RunEnv, ScenarioSel, VmEngine};
 pub use metrics::{MetricsSnapshot, Registry};
 pub use span::{span_path, Adopted, PhaseNode, PhaseStat, Span, Tracer};
 

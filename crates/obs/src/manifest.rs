@@ -322,7 +322,7 @@ fn validate_phase(p: &Value) -> Result<(), String> {
 /// `wall_ms` the `tune` section's: every other serve/tune field (epoch
 /// records, drift scores, search trajectories, miss counts, image
 /// digests) is deterministic and stays pinned by goldens.
-pub const VOLATILE_KEYS: [&str; 14] = [
+pub const VOLATILE_KEYS: [&str; 13] = [
     "git",
     "created_unix_ms",
     "wall_ns",
@@ -333,7 +333,6 @@ pub const VOLATILE_KEYS: [&str; 14] = [
     "parallelism",
     "threads_env",
     "sweep_threads",
-    "sweep_engine",
     "vm_engine",
     "swap_wall_ns",
     "wall_ms",

@@ -13,8 +13,7 @@ use crate::scenario::Scenario;
 use crate::sga::{priv_words, words, Invariants, SgaLayout};
 use codelayout_core::{LayoutParams, LayoutPipeline, LayoutSeries, OptimizationSet};
 use codelayout_ir::link::link;
-use codelayout_ir::{Image, Layout, Reg};
-use codelayout_obs::ProfileSource;
+use codelayout_ir::{Image, Layout, Program, Reg};
 use codelayout_profile::{PixieCollector, Profile};
 use codelayout_vm::{
     Machine, MachineConfig, NullSink, PairHook, RunReport, SyscallDef, TraceSink, VmEngine,
@@ -77,10 +76,9 @@ pub struct Study {
     /// Kernel profile from the same run.
     pub kernel_profile: Profile,
     /// Static (profile-free) application frequency estimate from the
-    /// Ball–Larus-style analyzer in `codelayout-analysis`.
+    /// Ball–Larus-style analyzer in `codelayout-analysis`, for studies
+    /// that compare it with the measured profile.
     pub static_profile: Profile,
-    /// Static kernel frequency estimate.
-    pub static_kernel_profile: Profile,
     /// Baseline (natural layout) application image.
     pub base_image: Arc<Image>,
     /// Baseline (natural layout) kernel image.
@@ -121,10 +119,9 @@ pub fn build_study(scenario: &Scenario) -> Study {
         .expect("baseline kernel links"),
     );
 
-    // Static frequency estimates need no execution at all; compute them
-    // while the generated programs are at hand.
+    // The static frequency estimate needs no execution at all; compute
+    // it while the generated program is at hand.
     let static_profile = codelayout_analysis::estimate_static_profile(&app.program);
-    let static_kernel_profile = codelayout_analysis::estimate_static_profile(&kernel.program);
 
     let mut study = Study {
         scenario: scenario.clone(),
@@ -134,7 +131,6 @@ pub fn build_study(scenario: &Scenario) -> Study {
         profile: Profile::new(0),
         kernel_profile: Profile::new(0),
         static_profile,
-        static_kernel_profile,
         base_image,
         base_kernel_image,
     };
@@ -270,47 +266,10 @@ impl Study {
         (m, sga)
     }
 
-    /// The application profile for an explicit source: the measured
-    /// Pixie profile or the static Ball–Larus-style estimate.
-    pub fn profile_for(&self, source: ProfileSource) -> &Profile {
-        match source {
-            ProfileSource::Measured => &self.profile,
-            ProfileSource::Static => &self.static_profile,
-        }
-    }
-
-    /// The kernel profile for an explicit source.
-    pub fn kernel_profile_for(&self, source: ProfileSource) -> &Profile {
-        match source {
-            ProfileSource::Measured => &self.kernel_profile,
-            ProfileSource::Static => &self.static_kernel_profile,
-        }
-    }
-
-    /// The profile source selected by `CODELAYOUT_PROFILE_SOURCE`
-    /// (default: measured).
-    pub fn profile_source(&self) -> ProfileSource {
-        codelayout_obs::run_env().profile_source
-    }
-
-    /// The application profile feeding the layout passes, honoring the
-    /// `CODELAYOUT_PROFILE_SOURCE` knob.
-    pub fn active_profile(&self) -> &Profile {
-        self.profile_for(self.profile_source())
-    }
-
-    /// The kernel profile feeding the layout passes, honoring the
-    /// `CODELAYOUT_PROFILE_SOURCE` knob.
-    pub fn active_kernel_profile(&self) -> &Profile {
-        self.kernel_profile_for(self.profile_source())
-    }
-
-    /// Builds the application layout for an optimization set using the
-    /// study's active profile (measured by default — "running Spike" on
-    /// the baseline binary — or the static estimate under
-    /// `CODELAYOUT_PROFILE_SOURCE=static`).
+    /// Builds the application layout for an optimization set from the
+    /// measured profile ("running Spike" on the baseline binary).
     pub fn layout(&self, set: OptimizationSet) -> Layout {
-        LayoutPipeline::new(&self.app.program, self.active_profile()).build(set)
+        LayoutPipeline::new(&self.app.program, &self.profile).build(set)
     }
 
     /// Links the application image for an optimization set.
@@ -318,70 +277,51 @@ impl Study {
     /// Debug builds additionally run translation validation on the linked
     /// image, proving the layout preserved the program's control flow.
     pub fn image(&self, set: OptimizationSet) -> Arc<Image> {
-        let layout = self.layout(set);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("optimized layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{set}` app image failed translation validation: {e}"));
-        Arc::new(image)
+        link_checked(&self.app.program, &self.layout(set), APP_TEXT_BASE, set)
     }
 
     /// Links a kernel image for an optimization set using the kernel
     /// profile (the paper's "optimize the operating system" experiment).
     pub fn kernel_image(&self, set: OptimizationSet) -> Arc<Image> {
-        let layout =
-            LayoutPipeline::new(&self.kernel.program, self.active_kernel_profile()).build(set);
-        let image = link(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
-            .expect("optimized kernel layouts are valid");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.kernel.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{set}` kernel image failed translation validation: {e}"));
-        Arc::new(image)
+        let layout = LayoutPipeline::new(&self.kernel.program, &self.kernel_profile).build(set);
+        link_checked(&self.kernel.program, &layout, KERNEL_TEXT_BASE, set)
     }
 
     /// Builds the application layout for any [`LayoutSeries`] — the
     /// paper's six sets via [`Study::layout`], plus hot/cold, CFA,
-    /// ext-TSP and Codestitcher behind the same surface — with the
-    /// active profile source.
+    /// ext-TSP and Codestitcher behind the same surface — from the
+    /// measured profile.
     pub fn layout_series(&self, series: LayoutSeries) -> Layout {
-        self.layout_series_with(series, self.profile_source())
+        self.layout_series_with(series, &self.profile)
     }
 
-    /// [`Study::layout_series`] with an explicit profile source, for
-    /// figures that compare measured-profile and static-profile layouts
-    /// side by side regardless of the environment knob.
-    pub fn layout_series_with(&self, series: LayoutSeries, source: ProfileSource) -> Layout {
-        LayoutPipeline::new(&self.app.program, self.profile_for(source)).build_series(series)
+    /// [`Study::layout_series`] from an explicit profile, such as
+    /// [`Study::static_profile`] for the static-profile study.
+    pub fn layout_series_with(&self, series: LayoutSeries, profile: &Profile) -> Layout {
+        LayoutPipeline::new(&self.app.program, profile).build_series(series)
     }
 
     /// Links the application image for any [`LayoutSeries`], with the
     /// same debug-build translation validation as [`Study::image`].
     pub fn image_series(&self, series: LayoutSeries) -> Arc<Image> {
-        self.image_series_with(series, self.profile_source())
+        self.image_series_with(series, &self.profile)
     }
 
-    /// [`Study::image_series`] with an explicit profile source.
-    pub fn image_series_with(&self, series: LayoutSeries, source: ProfileSource) -> Arc<Image> {
-        let layout = self.layout_series_with(series, source);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("series layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| panic!("`{series}` app image failed translation validation: {e}"));
-        Arc::new(image)
+    /// [`Study::image_series`] from an explicit profile.
+    pub fn image_series_with(&self, series: LayoutSeries, profile: &Profile) -> Arc<Image> {
+        let layout = self.layout_series_with(series, profile);
+        link_checked(&self.app.program, &layout, APP_TEXT_BASE, series)
     }
 
     /// Builds the application layout for any [`LayoutSeries`] with
     /// explicit layout-construction parameters instead of the defaults,
-    /// using the active profile. This is the autotuner's entry point:
+    /// from the measured profile. This is the autotuner's entry point:
     /// `codelayout-tune` materializes each candidate [`ParamPoint`] into
     /// a [`LayoutParams`] and builds the series through here.
     ///
     /// [`ParamPoint`]: codelayout_core::ParamPoint
     pub fn layout_series_params(&self, series: LayoutSeries, params: &LayoutParams) -> Layout {
-        LayoutPipeline::with_params(&self.app.program, self.active_profile(), *params)
-            .build_series(series)
+        LayoutPipeline::with_params(&self.app.program, &self.profile, *params).build_series(series)
     }
 
     /// Links the application image for any [`LayoutSeries`] built with
@@ -389,30 +329,7 @@ impl Study {
     /// debug-build translation validation as [`Study::image_series`].
     pub fn image_series_params(&self, series: LayoutSeries, params: &LayoutParams) -> Arc<Image> {
         let layout = self.layout_series_params(series, params);
-        let image = link(&self.app.program, &layout, APP_TEXT_BASE)
-            .expect("parameterized series layouts are valid permutations");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.app.program, &layout, &image)
-            .unwrap_or_else(|e| {
-                panic!("tuned `{series}` app image failed translation validation: {e}")
-            });
-        Arc::new(image)
-    }
-
-    /// Links a kernel image for any [`LayoutSeries`] using the active
-    /// kernel profile, with the same debug-build translation validation
-    /// as [`Study::kernel_image`].
-    pub fn kernel_image_series(&self, series: LayoutSeries) -> Arc<Image> {
-        let layout = LayoutPipeline::new(&self.kernel.program, self.active_kernel_profile())
-            .build_series(series);
-        let image = link(&self.kernel.program, &layout, KERNEL_TEXT_BASE)
-            .expect("series kernel layouts are valid");
-        #[cfg(debug_assertions)]
-        codelayout_analysis::validate_translation(&self.kernel.program, &layout, &image)
-            .unwrap_or_else(|e| {
-                panic!("`{series}` kernel image failed translation validation: {e}")
-            });
-        Arc::new(image)
+        link_checked(&self.app.program, &layout, APP_TEXT_BASE, series)
     }
 
     /// Runs warm-up transactions (trace discarded), then streams the
@@ -486,6 +403,23 @@ impl Study {
             run_wall,
         }
     }
+}
+
+/// Links `layout` of `program` at `base`. Debug builds also run
+/// translation validation on the image, proving the layout preserved
+/// the program's control flow; `what` names the layout in a panic.
+fn link_checked(
+    program: &Program,
+    layout: &Layout,
+    base: u64,
+    what: impl std::fmt::Display,
+) -> Arc<Image> {
+    let image = link(program, layout, base)
+        .unwrap_or_else(|e| panic!("`{what}` layout does not link: {e:?}"));
+    #[cfg(debug_assertions)]
+    codelayout_analysis::validate_translation(program, layout, &image)
+        .unwrap_or_else(|e| panic!("`{what}` image failed translation validation: {e}"));
+    Arc::new(image)
 }
 
 /// SplitMix64 step for seeding per-process RNG states.

@@ -58,8 +58,8 @@ use codelayout_analysis::validate_translation;
 use codelayout_core::{LayoutPipeline, LayoutSeries, OptimizationSet};
 use codelayout_ir::link::link;
 use codelayout_ir::Image;
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
-use codelayout_obs::{run_env, ProfileSource, SweepEngine, VmEngine};
+use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSpec};
+use codelayout_obs::{run_env, VmEngine};
 use codelayout_oltp::{drift_schedule, words, MixPhase, Scenario, SgaLayout, Study};
 use codelayout_profile::{
     edge_l1_milli, profile_from_edge_samples, DecayedEdgeCounts, EdgeSampler, PixieCollector,
@@ -108,7 +108,8 @@ pub struct ServeConfig {
     pub series: LayoutSeries,
     /// VM execution tier for the serving runs.
     pub vm_engine: VmEngine,
-    /// Cache-replay engine for the per-epoch miss evaluation.
+    /// Cache-replay engine for the per-epoch miss evaluation (the
+    /// stack default; tests select the direct oracle).
     pub sweep_engine: SweepEngine,
     /// Worker threads for the cache replay.
     pub sweep_threads: usize,
@@ -144,14 +145,13 @@ impl ServeConfig {
         }
     }
 
-    /// [`ServeConfig::drift_demo`] with the `CODELAYOUT_VM_ENGINE`,
-    /// `CODELAYOUT_SWEEP_ENGINE` and `CODELAYOUT_THREADS` environment
-    /// knobs applied; the loop's own settings are fields, set in code.
+    /// [`ServeConfig::drift_demo`] with the `CODELAYOUT_VM_ENGINE` and
+    /// `CODELAYOUT_THREADS` environment knobs applied; the loop's own
+    /// settings are fields, set in code.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::drift_demo(scenario);
         cfg.vm_engine = env.vm_engine;
-        cfg.sweep_engine = env.sweep_engine;
         cfg.sweep_threads = env.sweep_threads();
         cfg
     }
@@ -357,21 +357,11 @@ impl ServeReport {
 /// FNV-1a digest of an image's layout-defining tables (block starts,
 /// procedure entries, program entry), as `fnv1a64:<16 hex digits>`.
 pub fn image_digest(image: &Image) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |h: &mut u64, w: u32| {
-        for b in w.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&mut h, image.entry);
-    for &s in &image.block_start {
-        eat(&mut h, s);
-    }
-    for &p in &image.proc_entry {
-        eat(&mut h, p);
-    }
-    format!("fnv1a64:{h:016x}")
+    let words = std::iter::once(&image.entry)
+        .chain(&image.block_start)
+        .chain(&image.proc_entry);
+    let bytes: Vec<u8> = words.flat_map(|w| w.to_le_bytes()).collect();
+    codelayout_obs::manifest::digest_hex(&bytes)
 }
 
 /// The evaluation cache every epoch window is replayed against: the
@@ -564,8 +554,7 @@ pub fn run_serve(study: &Study, cfg: &ServeConfig) -> ServeReport {
 
     // Initial offline deployment, from the study's profiling run — the
     // layout a DBA would have shipped. Validated like every later swap.
-    let initial_profile = study.profile_for(ProfileSource::Measured);
-    let initial_image = build_validated_image(study, cfg, initial_profile)
+    let initial_image = build_validated_image(study, cfg, &study.profile)
         .expect("initial deployment must link and validate");
     let base_digest = image_digest(&initial_image);
 

@@ -5,7 +5,8 @@
 //! construction (`deterministic_json`), so this is an exact string
 //! comparison.
 
-use codelayout_obs::{SweepEngine, VmEngine};
+use codelayout_memsim::SweepEngine;
+use codelayout_obs::VmEngine;
 use codelayout_oltp::{build_study, MixPhase, Scenario};
 use codelayout_serve::{run_serve, ServeConfig};
 

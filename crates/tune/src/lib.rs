@@ -42,12 +42,9 @@
 //! across candidates.
 //!
 //! Everything in [`TuneReport::deterministic_json`] is bit-identical
-//! across sweep engines and thread counts, and contains no wall-clock.
-//! A wall budget ([`TuneConfig::budget_ms`], one deadline shared by
-//! every family) that actually fires cuts the search at a
-//! time-dependent point — the default (0, unlimited)
-//! keeps the whole trajectory reproducible from the seed, and a
-//! triggered cut is recorded as `budget_hit`.
+//! across sweep engines and thread counts, and contains no wall-clock:
+//! the search stops on the candidate budget alone, so the whole
+//! trajectory is reproducible from the seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,17 +52,17 @@
 use codelayout_core::{LayoutParams, LayoutSeries, OptimizationSet, ParamPoint, ParamSpace};
 use codelayout_ir::link::link;
 use codelayout_ir::Image;
-use codelayout_memsim::{ParallelSweep, StreamFilter, SweepSpec};
-use codelayout_obs::{run_env, SweepEngine};
+use codelayout_memsim::{ParallelSweep, StreamFilter, SweepEngine, SweepSpec};
+use codelayout_obs::run_env;
 use codelayout_oltp::{Scenario, Study};
 use codelayout_vm::{FetchRecord, TraceSink, TraceSource, APP_TEXT_BASE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cache sizes (KB) of the fitness-oracle grid. Deliberately extends
 /// the paper's 32–512 KB sweep *downward*: layout quality shows up as
@@ -94,12 +91,10 @@ pub struct TuneConfig {
     pub candidates: u64,
     /// Maximum user-mode fetch events kept from the recording run.
     pub window: u64,
-    /// Wall-clock budget in milliseconds; 0 = unlimited (the
-    /// deterministic default — see the module docs on `budget_hit`).
-    pub budget_ms: u64,
     /// The series families to tune, searched in order.
     pub series: Vec<LayoutSeries>,
-    /// Cache-replay engine for the fitness oracle.
+    /// Cache-replay engine for the fitness oracle (the stack default;
+    /// tests select the direct oracle).
     pub sweep_engine: SweepEngine,
     /// Threads for the search: up to this many families search at once
     /// (the calling thread is one of them), and each family's cache
@@ -110,7 +105,7 @@ pub struct TuneConfig {
 
 impl TuneConfig {
     /// Defaults for a scenario: the scenario's seed, 48 candidates per
-    /// family, a one-million-event window, no wall budget, and the four
+    /// family, a one-million-event window, and the four
     /// tunable comparison families (`all`, `hotcold`, `exttsp`,
     /// `stitcher` — `base` has no knobs).
     pub fn for_scenario(scenario: &Scenario) -> Self {
@@ -118,7 +113,6 @@ impl TuneConfig {
             seed: scenario.seed,
             candidates: 48,
             window: 1_000_000,
-            budget_ms: 0,
             series: vec![
                 LayoutSeries::Paper(OptimizationSet::ALL),
                 LayoutSeries::HotCold,
@@ -130,16 +124,15 @@ impl TuneConfig {
         }
     }
 
-    /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED`,
-    /// `CODELAYOUT_SWEEP_ENGINE` and `CODELAYOUT_THREADS` environment
-    /// knobs applied; the search budgets are fields, set in code.
+    /// [`TuneConfig::for_scenario`] with the `CODELAYOUT_SEED` and
+    /// `CODELAYOUT_THREADS` environment knobs applied; the search budget
+    /// is a field, set in code.
     pub fn from_env(scenario: &Scenario) -> Self {
         let env = run_env();
         let mut cfg = Self::for_scenario(scenario);
         if let Some(s) = env.seed {
             cfg.seed = s;
         }
-        cfg.sweep_engine = env.sweep_engine;
         cfg.sweep_threads = env.sweep_threads();
         cfg
     }
@@ -152,7 +145,6 @@ impl TuneConfig {
             "seed": self.seed,
             "candidates": self.candidates,
             "window": self.window,
-            "budget_ms": self.budget_ms,
             "series": self.series.iter().map(|s| s.label()).collect::<Vec<_>>(),
         })
     }
@@ -254,9 +246,6 @@ pub struct TuneReport {
     pub families: Vec<FamilyResult>,
     /// Every fresh evaluation, in search order.
     pub trajectory: Vec<CandidateRecord>,
-    /// True when the wall budget truncated the search (the trajectory is
-    /// then wall-clock-dependent and not reproducible from the seed).
-    pub budget_hit: bool,
     /// Wall time of the whole tune. **Not** part of
     /// [`TuneReport::deterministic_json`].
     pub wall_ms: u64,
@@ -316,7 +305,6 @@ impl TuneReport {
                 "validated": c.validated,
                 "origin": c.origin.label(),
             })).collect::<Vec<_>>(),
-            "budget_hit": self.budget_hit,
         })
     }
 }
@@ -371,12 +359,7 @@ fn block_lengths(image: &Image, nblocks: usize) -> Vec<u32> {
 
 /// FNV-1a of a label, for per-family RNG stream separation.
 fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    codelayout_obs::manifest::fnv1a64(s.as_bytes())
 }
 
 /// The fitness oracle: the read-only state every family search shares.
@@ -385,11 +368,6 @@ struct Oracle<'a> {
     spec: SweepSpec,
     window: Vec<WindowEvent>,
     nblocks: usize,
-    /// End of the wall budget, shared by all families (`None`: unlimited).
-    deadline: Option<Instant>,
-    /// Set once any family finds the deadline passed. It publishes no
-    /// other data, so relaxed ordering suffices.
-    budget_hit: AtomicBool,
 }
 
 impl Oracle<'_> {
@@ -404,14 +382,6 @@ impl Oracle<'_> {
         let cells = sweeper.run_one(&source, &self.spec);
         let per_cell: Vec<u64> = cells.iter().map(|c| c.stats.misses).collect();
         (per_cell.iter().sum(), per_cell)
-    }
-
-    /// True when the wall budget is exhausted (records `budget_hit`).
-    fn wall_exhausted(&self) -> bool {
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.budget_hit.store(true, Ordering::Relaxed);
-        }
-        self.budget_hit.load(Ordering::Relaxed)
     }
 }
 
@@ -468,7 +438,7 @@ struct FamilySearch {
 impl FamilySearch {
     /// Evaluates one point: cache hit is free, a fresh evaluation spends
     /// budget, builds + links + validates + replays, and appends to the
-    /// trajectory. Returns `None` when out of budget (candidate or wall).
+    /// trajectory. Returns `None` when out of candidate budget.
     fn eval(
         &mut self,
         oracle: &Oracle<'_>,
@@ -479,7 +449,7 @@ impl FamilySearch {
             self.cache_hits += 1;
             return Some(score);
         }
-        if self.evaluated >= self.budget || oracle.wall_exhausted() {
+        if self.evaluated >= self.budget {
             return None;
         }
         let params = self.space.params(point);
@@ -566,10 +536,7 @@ impl FamilySearch {
         self.descend(oracle, default);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut stale = 0u32;
-        while self.evaluated < self.budget
-            && !oracle.wall_exhausted()
-            && stale < STALE_RESTART_LIMIT
-        {
+        while self.evaluated < self.budget && stale < STALE_RESTART_LIMIT {
             let idx: Vec<u32> = self
                 .space
                 .knobs()
@@ -690,8 +657,6 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
             .filter(StreamFilter::UserOnly),
         window: sink.events,
         nblocks: study.app.program.blocks.len(),
-        deadline: (cfg.budget_ms > 0).then(|| start + Duration::from_millis(cfg.budget_ms)),
-        budget_hit: AtomicBool::new(false),
     };
     let window_events = oracle.window.len() as u64;
     let sweeper = ParallelSweep::new(cfg.sweep_threads).with_engine(cfg.sweep_engine);
@@ -783,7 +748,6 @@ pub fn run_tune(study: &Study, cfg: &TuneConfig) -> TuneReport {
         fixed,
         families,
         trajectory,
-        budget_hit: oracle.budget_hit.into_inner(),
         wall_ms: start.elapsed().as_millis() as u64,
     }
 }

@@ -3,7 +3,7 @@
 //! thread counts (which also set how many families search at once), and
 //! every accepted candidate must have passed translation validation.
 
-use codelayout_obs::SweepEngine;
+use codelayout_memsim::SweepEngine;
 use codelayout_oltp::{build_study, Scenario};
 use codelayout_tune::{run_tune, TuneConfig, TuneReport, TUNE_SIZES_KB};
 
@@ -41,10 +41,8 @@ fn tune_is_deterministic_across_engines_and_threads() {
     for (engine, threads, r) in &runs[1..] {
         let jr = serde_json::to_string_pretty(&r.deterministic_json()).unwrap();
         assert_eq!(
-            ja,
-            jr,
-            "tune report differs between stack/1-thread and {}/{threads}-thread runs",
-            engine.label()
+            ja, jr,
+            "tune report differs between stack/1-thread and {engine:?}/{threads}-thread runs"
         );
     }
 
@@ -85,5 +83,4 @@ fn tune_is_deterministic_across_engines_and_threads() {
     }
     assert_eq!(a.fixed.len(), 5, "one yardstick per comparison series");
     assert!(a.winner().is_some());
-    assert!(!a.budget_hit, "no wall budget was set");
 }

@@ -167,7 +167,6 @@ fn kernel_ticks_match_report_and_trace_attribution() {
         traces[0], traces[1],
         "packed traces must be bit-identical across engines"
     );
-    assert_eq!(traces[0].digest(), traces[1].digest());
 }
 
 /// Mid-block quantum expiry must not double-tick or skip: the tick

@@ -183,13 +183,12 @@ fn parallel_sweep_is_bit_identical_to_live_serial_sinks() {
             for (g, (got_cells, exp_cells)) in got.iter().zip(expected.iter()).enumerate() {
                 assert_eq!(got_cells.len(), exp_cells.len());
                 for (a, b) in got_cells.iter().zip(exp_cells.iter()) {
-                    let eng = engine.label();
                     assert_eq!(
                         a.config, b.config,
-                        "{name} grid {g} threads {threads} {eng}"
+                        "{name} grid {g} threads {threads} {engine:?}"
                     );
                     let ctx = format!(
-                        "{name} grid {g} config {:?} threads {threads} engine {eng}",
+                        "{name} grid {g} config {:?} threads {threads} engine {engine:?}",
                         a.config
                     );
                     assert_eq!(a.stats.accesses, b.stats.accesses, "accesses: {ctx}");
@@ -201,10 +200,8 @@ fn parallel_sweep_is_bit_identical_to_live_serial_sinks() {
                     assert_eq!(a.stats.displaced, b.stats.displaced, "displaced: {ctx}");
                 }
                 assert_eq!(
-                    got_cells,
-                    exp_cells,
-                    "{name} grid {g} threads {threads} engine {}",
-                    engine.label()
+                    got_cells, exp_cells,
+                    "{name} grid {g} threads {threads} engine {engine:?}"
                 );
             }
         }
